@@ -96,14 +96,6 @@ def g4_polynomial(beta):
     return RealPolynomial.from_coeffs([3 * w0, 2 * w1, w2])
 
 
-def multiplier_polynomials(k, beta):
-    """(A~, C~, D~): characteristic polynomials of the a-, c- and d-weights."""
-    rec = coeffs.scheme_coefficients(k, beta)
-    return (RealPolynomial.from_coeffs([float(x) for x in rec.a]),
-            RealPolynomial.from_coeffs([float(x) for x in rec.c]),
-            RealPolynomial.from_coeffs([float(x) for x in rec.d]))
-
-
 def circle_pairing_f(k, beta, theta):
     """Re[A~(e^{i t}) e^{-i t} C~(e^{-i t})], rebuilt from raw coefficients.
 
@@ -175,24 +167,14 @@ class CertificateReport:
         }
 
 
-def _exact_record(k, beta_exact: Fraction):
-    # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100]
-    e = (beta_exact - 1) / (beta_exact + coeffs.ETA_DENOMINATOR_OFFSET[k])
-    bb = coeffs._solve_b(k, beta_exact)
-    cc = coeffs._solve_c(k, beta_exact)
-    aa = coeffs._solve_a(k, beta_exact)
-    dd = [bq - e * cq for bq, cq in zip(bb, cc)]
-    return aa, cc, dd
-
-
 def _build_report(k, beta):
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    aa, cc, dd = _exact_record(k, beta_exact)
+    rec = coeffs._build(k, beta_exact)
     # exact determinants: the float path loses too many digits to the massive
     # cancellation inside these matrices once beta is large
-    res_ac = float(sylvester_resultant(aa, cc))
-    res_dc = float(sylvester_resultant(dd, cc))
-    c_float = RealPolynomial.from_coeffs([float(x) for x in cc])
+    res_ac = float(sylvester_resultant(rec.a, rec.c))
+    res_dc = float(sylvester_resultant(rec.d, rec.c))
+    c_float = RealPolynomial.from_coeffs([float(x) for x in rec.c])
     rmax = float(np.abs(roots(c_float)).max())
     xf, min_f = _certified_min(_f_coeffs, k, beta_exact)
     xh, min_h = _certified_min(_h_coeffs, k, beta_exact)

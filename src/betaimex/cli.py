@@ -1,6 +1,9 @@
 """Command-line entry point.
 
 Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
+The three experiments share one path: `EXPERIMENTS` maps each subcommand to
+its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
+field snapshots, console lines, summary JSON and manifest for all three.
 Global flags --out/--seed/--json apply everywhere; a JSON config file can
 preload any flag (explicit command-line flags win).  Exit codes: 0 all good,
 2 completed but some scheme was judged unstable, 1 internal error.
@@ -12,8 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__, certificates, coeffs, stability
 from .experiments import (CONVERGENCE_DT_SWEEP, ExperimentConfig,
@@ -124,83 +125,107 @@ def _parse_betas(text):
     return [float(b) for b in str(text).split(",")]
 
 
-def cmd_converge(args):
-    outdir = _ensure_outdir(args)
+def _parse_schemes(text):
+    """--schemes JSON -> (pairs as given, [(int k, float beta), ...]); (None, None) if absent."""
+    if not text:
+        return None, None
+    try:
+        given = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--schemes is not valid JSON: {exc}") from exc
+    if not isinstance(given, list) or not given:
+        raise ValueError("--schemes needs a non-empty JSON list of [k, beta] pairs")
+    schemes = []
+    for pair in given:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+            raise ValueError(f"--schemes entry {pair!r} is not a [k, beta] pair of numbers")
+        k, beta = pair
+        if not float(k).is_integer():
+            raise ValueError(f"--schemes order k={k!r} is not an integer")
+        schemes.append((int(k), float(beta)))
+    return given, schemes
+
+
+def _converge(args):
     sweep = tuple(float(d) for d in args.dts.split(",")) if args.dts else CONVERGENCE_DT_SWEEP
-    reports = []
-    for beta in _parse_betas(args.beta):
-        config = ExperimentConfig(name="converge", k=args.k, beta=beta,
-                                  dt_sweep=sweep, resolution=args.resolution,
-                                  T=args.T, seed=args.seed, out=outdir)
-        rep = run_convergence(config)
-        reports.append(rep)
-        write_csv(os.path.join(outdir, f"converge_k{args.k}_beta{beta:g}.csv"),
-                  ["dt", "l2_error"], list(zip(rep.dts, rep.errors)))
-        print(f"k={rep.k} beta={rep.beta:g}: slope={rep.slope:.3f}")
-    write_json(os.path.join(outdir, f"converge_k{args.k}.json"),
-               [r.as_dict() for r in reports])
-    write_manifest(outdir, "converge",
-                   {"k": args.k, "beta": args.beta, "dts": list(sweep),
-                    "resolution": args.resolution, "T": args.T}, args.seed)
-    return EXIT_OK
+    reports = (run_convergence(ExperimentConfig(
+        name=args.command, k=args.k, beta=beta, dt_sweep=sweep,
+        resolution=args.resolution, T=args.T, seed=args.seed))
+        for beta in _parse_betas(args.beta))
+    manifest = {"k": args.k, "beta": args.beta, "dts": list(sweep),
+                "resolution": args.resolution, "T": args.T}
+    return reports, f"converge_k{args.k}.json", list, manifest
 
 
-def cmd_allen_cahn(args):
+AC_SCHEMES = ((1, 1.0), (2, 1.0), (3, 3.0), (4, 3.0))  # allen-cahn without --schemes
+
+
+def _allen_cahn(args):
+    given, schemes = _parse_schemes(args.schemes)
+    if given is None:
+        given = schemes = AC_SCHEMES
+    reports = (run_allen_cahn_radius(ExperimentConfig(
+        name=args.command, k=k, beta=beta, dt=args.dt, resolution=args.resolution,
+        T=args.T, seed=args.seed, small=args.small))
+        for k, beta in schemes)
+    manifest = {"schemes": given, "dt": args.dt, "resolution": args.resolution,
+                "T": args.T, "small": args.small}
+    return reports, "radius_summary.json", list, manifest
+
+
+def _cahn_hilliard(args):
+    given, schemes = _parse_schemes(args.schemes)
+    report = run_cahn_hilliard(
+        ExperimentConfig(name=args.command, seed=args.seed, small=args.small, dt=args.dt,
+                         T=args.T, resolution=args.resolution, schemes=schemes),
+        with_reference=not args.no_reference)
+
+    def summary(entries):
+        return {"preset": report.preset, "seed": report.seed,
+                "reference_checksum": report.reference_checksum, "verdicts": entries}
+
+    manifest = {"preset": report.preset, "small": args.small, "schemes": given}
+    return report.verdicts, "cahn_hilliard_summary.json", summary, manifest
+
+
+def _json_line(rep):
+    return json.dumps(rep.as_dict(), sort_keys=True)
+
+
+# subcommand -> (run, CSV stem, CSV header, console line); `run(args)` returns
+# (reports, summary file name, summary of the as_dict() entries, manifest config)
+EXPERIMENTS = {
+    "converge": (_converge, "converge", ["dt", "l2_error"],
+                 lambda rep: f"k={rep.k} beta={rep.beta:g}: slope={rep.slope:.3f}"),
+    "allen-cahn": (_allen_cahn, "radius", ["t", "radius", "radius_theory"], _json_line),
+    "cahn-hilliard": (_cahn_hilliard, "energy", ["t", "energy", "ref_distance"], _json_line),
+}
+
+
+def cmd_experiment(args):
+    """Run one experiment and write its outputs.
+
+    Per scheme: the CSV, the field snapshot if the report has one, and the
+    console line.  Then the summary JSON and the manifest.  Exit code 2 if
+    any scheme diverged.
+    """
+    run, stem, header, line = EXPERIMENTS[args.command]
     outdir = _ensure_outdir(args)
-    schemes = [tuple(s) for s in json.loads(args.schemes)] if args.schemes else \
-        [(1, 1.0), (2, 1.0), (3, 3.0), (4, 3.0)]
-    rows_summary = []
-    diverged = False
-    for k, beta in schemes:
-        config = ExperimentConfig(name="allen-cahn", k=int(k), beta=float(beta),
-                                  dt=args.dt, resolution=args.resolution, T=args.T,
-                                  seed=args.seed, out=outdir, small=args.small)
-        rep = run_allen_cahn_radius(config)
-        write_csv(os.path.join(outdir, f"radius_k{k}_beta{float(beta):g}.csv"),
-                  ["t", "radius", "radius_theory"], rep.rows())
+    reports, summary_name, summary, manifest = run(args)
+    entries, diverged = [], False
+    for rep in reports:
+        tag = f"k{rep.k}_beta{rep.beta:g}"
+        write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
         if rep.final_values is not None:
-            write_field_snapshot(os.path.join(outdir, f"field_k{k}_beta{float(beta):g}"),
-                                 rep.grid, rep.final_values,
-                                 rep.times[-1] if rep.times else 0.0)
-        entry = {"k": int(k), "beta": float(beta), "diverged": rep.diverged,
-                 "max_relative_deviation": (None if rep.diverged
-                                            else rep.max_relative_deviation)}
-        rows_summary.append(entry)
+            write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
+                                 rep.final_values, rep.times[-1] if rep.times else 0.0)
+        entries.append(rep.as_dict())
         diverged |= rep.diverged
-        print(json.dumps(entry, sort_keys=True))
-    write_json(os.path.join(outdir, "radius_summary.json"), rows_summary)
-    write_manifest(outdir, "allen-cahn",
-                   {"schemes": [list(s) for s in schemes], "dt": args.dt,
-                    "resolution": args.resolution, "T": args.T,
-                    "small": args.small}, args.seed)
+        print(line(rep))
+    write_json(os.path.join(outdir, summary_name), summary(entries))
+    write_manifest(outdir, args.command, manifest, args.seed)
     return EXIT_UNSTABLE if diverged else EXIT_OK
-
-
-def cmd_cahn_hilliard(args):
-    outdir = _ensure_outdir(args)
-    schemes = tuple(tuple(s) for s in json.loads(args.schemes)) if args.schemes else None
-    config = ExperimentConfig(name="cahn-hilliard", seed=args.seed, out=outdir,
-                              small=args.small, dt=args.dt, T=args.T,
-                              resolution=args.resolution, schemes=schemes)
-    report = run_cahn_hilliard(config, with_reference=not args.no_reference)
-    for v in report.verdicts:
-        write_csv(os.path.join(outdir, f"energy_k{v.k}_beta{v.beta:g}.csv"),
-                  ["t", "energy", "ref_distance"],
-                  list(zip(v.times, v.energy, v.ref_distance)))
-        if v.final_values is not None:
-            write_field_snapshot(os.path.join(outdir, f"field_k{v.k}_beta{v.beta:g}"),
-                                 report.grid, v.final_values,
-                                 v.times[-1] if v.times else 0.0)
-        print(json.dumps(v.as_dict(), sort_keys=True))
-    write_json(os.path.join(outdir, "cahn_hilliard_summary.json"),
-               {"preset": report.preset, "seed": report.seed,
-                "reference_checksum": report.reference_checksum,
-                "verdicts": [v.as_dict() for v in report.verdicts]})
-    write_manifest(outdir, "cahn-hilliard",
-                   {"preset": report.preset, "small": args.small,
-                    "schemes": [list(s) for s in schemes] if schemes else None},
-                   args.seed)
-    return EXIT_UNSTABLE if report.any_diverged else EXIT_OK
 
 
 def build_parser():
@@ -240,7 +265,7 @@ def build_parser():
     p.add_argument("--dts", help="comma list of decreasing steps")
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--T", type=float, default=None)
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("allen-cahn", help="shrinking-circle radius benchmark")
     p.add_argument("--small", action="store_true", help="desk preset: 256^2, T=500")
@@ -248,7 +273,7 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--schemes", help='JSON list, e.g. "[[1,1],[4,3]]"')
-    p.set_defaults(func=cmd_allen_cahn)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("cahn-hilliard", help="conserved-flow stability comparison")
     p.add_argument("--small", action="store_true",
@@ -259,7 +284,7 @@ def build_parser():
     p.add_argument("--schemes", help='JSON list of [k, beta] pairs')
     p.add_argument("--no-reference", action="store_true",
                    help="skip the fine-step reference trajectory")
-    p.set_defaults(func=cmd_cahn_hilliard)
+    p.set_defaults(func=cmd_experiment)
     return parser
 
 

@@ -148,10 +148,7 @@ def split_d(k, beta):
     """Residual implicit weights d = b - eta * c of the splitting b = eta*c + d."""
     _check_order(k)
     beta = _check_beta(beta)
-    e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-    b = _solve_b(k, beta)
-    c = _solve_c(k, beta)
-    return _pack([bq - e * cq for bq, cq in zip(b, c)], beta)
+    return _pack(_build(k, beta).d, beta)
 
 
 @dataclass(frozen=True)
@@ -190,11 +187,8 @@ def _admissibility_warning(k, beta):
         )
 
 
-def scheme_coefficients(k, beta):
-    """Assemble (a, b, c, d, eta) by the Vandermonde route; k in 2..5."""
-    _check_order(k)
-    beta = _check_beta(beta)
-    _admissibility_warning(k, beta)
+def _build(k, beta) -> SchemeCoefficients:
+    # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100]
     e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
     b = _solve_b(k, beta)
     c = _solve_c(k, beta)
@@ -203,6 +197,14 @@ def scheme_coefficients(k, beta):
         k=k, beta=beta,
         a=tuple(_solve_a(k, beta)), b=tuple(b), c=tuple(c), d=tuple(d), eta=e,
     )
+
+
+def scheme_coefficients(k, beta):
+    """Assemble (a, b, c, d, eta) by the Vandermonde route; k in 2..5."""
+    _check_order(k)
+    beta = _check_beta(beta)
+    _admissibility_warning(k, beta)
+    return _build(k, beta)
 
 
 def exact_scheme_coefficients(k, beta):

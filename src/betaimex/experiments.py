@@ -1,8 +1,17 @@
 """Experiment drivers: convergence study, interface benchmark, conserved-flow stress test.
 
-Each driver takes an ExperimentConfig, runs deterministically (the only
-randomness is the seeded perturbation of the conserved-flow start) and
-returns plain-data reports that `outputs` can serialise byte-identically.
+Each driver takes an ExperimentConfig and runs deterministically (the only
+randomness is the seeded perturbation of the conserved-flow start).  Every
+scheme run yields one report with the same small protocol, which the single
+writer in `cli` serialises byte-identically:
+
+    rows()        CSV rows of the scheme's time series
+    as_dict()     the scheme's entry in the summary JSON
+    final_values  last physical field for the snapshot (None: no snapshot)
+    diverged      whether the scheme blew up
+
+plus `k` and `beta`, which name the files, and, where there is a snapshot,
+the `grid` and `times` that place it.
 
 Desk-scale presets (``small=True``) shrink the grids so the full suite runs
 in minutes; full-scale defaults are kept for offline reproduction runs.
@@ -35,7 +44,7 @@ DEFAULT_SEED = 1234
 
 @dataclass
 class ExperimentConfig:
-    """Shared knob set for all experiment drivers."""
+    """Shared knob set for all experiment drivers; `name` is the CLI subcommand."""
 
     name: str
     k: int = 2
@@ -45,7 +54,6 @@ class ExperimentConfig:
     resolution: Optional[int] = None
     T: Optional[float] = None
     seed: int = DEFAULT_SEED
-    out: Optional[str] = None
     small: bool = False
     schemes: Optional[tuple] = None  # [(k, beta), ...] for multi-scheme runs
 
@@ -66,6 +74,12 @@ class ConvergenceReport:
     dts: tuple
     errors: tuple
     slope: float
+    # a diverged step size shows as an infinite error; the study still completes
+    diverged = False
+    final_values = None
+
+    def rows(self):
+        return list(zip(self.dts, self.errors))
 
     def as_dict(self):
         return {"k": self.k, "beta": self.beta, "dts": list(self.dts),
@@ -151,6 +165,11 @@ class RadiusReport:
     def rows(self):
         return list(zip(self.times, self.radius, self.radius_theory))
 
+    def as_dict(self):
+        return {"k": self.k, "beta": self.beta, "diverged": self.diverged,
+                "max_relative_deviation": (None if self.diverged
+                                           else self.max_relative_deviation)}
+
 
 def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     """Shrinking-circle benchmark; radius extracted from the zero level set."""
@@ -164,8 +183,7 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
                            u0=np.fft.fft2(ac_initial_profile(grid)))
 
     def radius_obs(u_hat, t):
-        f = sp.SpectralField2D(grid, np.fft.ifft2(u_hat).real)
-        return sp.radius_of_circle(f) * AC_MAP_SCALE
+        return sp.radius_of_circle(grid, np.fft.ifft2(u_hat).real) * AC_MAP_SCALE
 
     stride = max(1, int(round(T / dt)) // 100)
     summary = itg.run(spec, config.k, config.beta, dt, T,
@@ -201,6 +219,14 @@ class SchemeVerdict:
     energy: tuple
     ref_distance: tuple
     final_values: Optional[np.ndarray] = None
+    grid: Optional[sp.Grid2D] = None
+
+    @property
+    def diverged(self) -> bool:
+        return not self.stable
+
+    def rows(self):
+        return list(zip(self.times, self.energy, self.ref_distance))
 
     def as_dict(self):
         return {"k": self.k, "beta": self.beta, "stable": self.stable,
@@ -213,11 +239,6 @@ class CahnHilliardReport:
     seed: int
     verdicts: list = field(default_factory=list)
     reference_checksum: Optional[str] = None
-    grid: Optional[sp.Grid2D] = None
-
-    @property
-    def any_diverged(self) -> bool:
-        return any(not v.stable for v in self.verdicts)
 
 
 def _ch_problem(preset, seed):
@@ -230,30 +251,26 @@ def _ch_problem(preset, seed):
     return grid, params, L, G, u0
 
 
-def ch_reference_trajectory(preset, seed, stride_times):
-    """Fine-step classical fourth-order trajectory sampled at the given times.
+def ch_reference_trajectory(preset, seed, stride):
+    """Fine-step classical fourth-order trajectory at every `stride`-th preset step.
 
-    Returns (snapshots keyed by rounded time, sha256 checksum).
+    The fine step is dt / ref_dt_ratio.  Returns (snapshots keyed by the
+    rounded time i * dt of preset step i, sha256 checksum).
     """
     grid, params, L, G, u0 = _ch_problem(preset, seed)
-    dt = preset["dt"] / preset["ref_dt_ratio"]
+    ratio = preset["ref_dt_ratio"]
+    dt = preset["dt"] / ratio
     spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
-    wanted = sorted(set(round(t, 12) for t in stride_times))
     snapshots = {}
 
     def snap(u_hat, t):
-        key = round(t, 12)
-        if key in snapshots or not wanted:
-            return 0.0
-        # record the nearest requested time within half a fine step
-        for w in wanted:
-            if abs(t - w) <= dt / 2:
-                snapshots[w] = np.fft.ifft2(u_hat).real.copy()
-                break
+        n = round(t / dt)
+        if n % (ratio * stride) == 0:  # the final step may fall off the stride
+            snapshots[round(n // ratio * preset["dt"], 12)] = np.fft.ifft2(u_hat).real.copy()
         return 0.0
 
-    itg.run(spec, 4, 1.0, dt, preset["T"], observers={"snap": snap}, stride=1,
-            starter="imex1", rk4_substeps=20)
+    itg.run(spec, 4, 1.0, dt, preset["T"], observers={"snap": snap},
+            stride=ratio * stride, starter="imex1", rk4_substeps=20)
     digest = hashlib.sha256()
     for key in sorted(snapshots):
         digest.update(snapshots[key].tobytes())
@@ -275,12 +292,11 @@ def run_cahn_hilliard(config: ExperimentConfig,
     dt = preset["dt"]
     nsteps = int(round(preset["T"] / dt))
     stride = max(1, nsteps // 60)
-    sample_times = [i * dt for i in range(0, nsteps + 1, stride)]
 
     reference = {}
     checksum = None
     if with_reference:
-        reference, checksum = ch_reference_trajectory(preset, config.seed, sample_times)
+        reference, checksum = ch_reference_trajectory(preset, config.seed, stride)
 
     report = CahnHilliardReport(preset=preset, seed=config.seed,
                                 reference_checksum=checksum)
@@ -288,8 +304,7 @@ def run_cahn_hilliard(config: ExperimentConfig,
         spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
 
         def energy_obs(u_hat, t):
-            f = sp.SpectralField2D(grid, np.fft.ifft2(u_hat).real)
-            return sp.free_energy(params, f)
+            return sp.free_energy(params, grid, np.fft.ifft2(u_hat).real)
 
         def dist_obs(u_hat, t):
             ref = reference.get(round(t, 12))
@@ -310,6 +325,5 @@ def run_cahn_hilliard(config: ExperimentConfig,
             blowup_step=summary.blowup_step, times=tuple(summary.times),
             energy=tuple(summary.series["energy"]),
             ref_distance=tuple(summary.series["ref_distance"]),
-            final_values=final))
-    report.grid = grid
+            final_values=final, grid=grid))
     return report

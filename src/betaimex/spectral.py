@@ -10,8 +10,7 @@ splitting u_t + L u + G[u] = f used by the stepper,
     L      = m (-lap)^(alpha+1)            (diagonal symbol m |xi|^(2alpha+2)),
     G[u]   = -m (-lap)^alpha [ u(1-u^2)/eps^2 ].
 
-Fields are nx-by-ny real arrays on a uniform grid; no dealiasing by default
-(an optional 2/3-rule mask is available for robustness experiments).
+Fields are nx-by-ny real arrays on a uniform grid, without dealiasing.
 """
 from __future__ import annotations
 
@@ -59,33 +58,6 @@ class Grid2D:
     def cell_area(self):
         return self.dx * self.dy
 
-    def dealias_mask(self):
-        # 2/3-rule: zero the top third of the spectrum in each direction
-        mx = np.abs(np.fft.fftfreq(self.nx, d=1.0 / self.nx)) <= self.nx // 3
-        my = np.abs(np.fft.fftfreq(self.ny, d=1.0 / self.ny)) <= self.ny // 3
-        return np.outer(mx, my)
-
-
-@dataclass
-class SpectralField2D:
-    """Real field with physical values; Fourier view on demand."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def fourier(self):
-        return np.fft.fft2(self.values)
-
-    @classmethod
-    def from_fourier(cls, grid, hat):
-        return cls(grid, np.fft.ifft2(hat).real)
-
-
-def symbol_at(params: PhaseFieldParams, xi_x, xi_y) -> float:
-    """Implicit symbol m |xi|^(2(alpha+1)) at one continuous mode."""
-    k2 = xi_x ** 2 + xi_y ** 2
-    return params.mobility * k2 ** (params.alpha + 1)
-
 
 def linear_symbol(params: PhaseFieldParams, grid: Grid2D) -> np.ndarray:
     return params.mobility * grid.K2 ** (params.alpha + 1)
@@ -95,50 +67,35 @@ def _double_well_slope(params, u):
     return (u * (1.0 - u * u)) / params.eps ** 2
 
 
-def nonlinear_term(params: PhaseFieldParams, u: SpectralField2D) -> SpectralField2D:
-    """G[u] = -m (-lap)^alpha [ u(1-u^2)/eps^2 ] evaluated pseudo-spectrally."""
-    w = _double_well_slope(params, u.values)
-    if params.alpha == 0:
-        return SpectralField2D(u.grid, -params.mobility * w)
-    hat = np.fft.fft2(w)
-    hat *= -params.mobility * u.grid.K2
-    return SpectralField2D(u.grid, np.fft.ifft2(hat).real)
-
-
-def nonlinear_fourier(params: PhaseFieldParams, grid: Grid2D,
-                      dealias: bool = False):
+def nonlinear_fourier(params: PhaseFieldParams, grid: Grid2D):
     """Fourier-space closure for the stepper: u_hat -> G[u]_hat."""
-    mask = grid.dealias_mask() if dealias else None
     mult = -params.mobility * (grid.K2 if params.alpha == 1 else 1.0)
 
     def gee(u_hat):
         u = np.fft.ifft2(u_hat).real
         hat = np.fft.fft2(_double_well_slope(params, u))
-        if mask is not None:
-            hat *= mask
         return mult * hat
 
     return gee
 
 
-def free_energy(params: PhaseFieldParams, u: SpectralField2D) -> float:
+def free_energy(params: PhaseFieldParams, grid: Grid2D, values: np.ndarray) -> float:
     """Spectral gradient energy plus grid quadrature of the double well."""
-    hat = u.fourier()
-    ux = np.fft.ifft2(1j * u.grid.KX * hat).real
-    uy = np.fft.ifft2(1j * u.grid.KY * hat).real
+    hat = np.fft.fft2(values)
+    ux = np.fft.ifft2(1j * grid.KX * hat).real
+    uy = np.fft.ifft2(1j * grid.KY * hat).real
     grad = 0.5 * (ux ** 2 + uy ** 2)
-    well = (1.0 - u.values ** 2) ** 2 / (4.0 * params.eps ** 2)
-    return float((grad + well).sum() * u.grid.cell_area)
+    well = (1.0 - values ** 2) ** 2 / (4.0 * params.eps ** 2)
+    return float((grad + well).sum() * grid.cell_area)
 
 
-def radius_of_circle(u: SpectralField2D, threshold: float = 0.0) -> float:
-    """Radius sqrt(area / pi) of the super-level set {u > threshold}.
+def radius_of_circle(grid: Grid2D, values: np.ndarray, threshold: float = 0.0) -> float:
+    """Radius sqrt(area / pi) of the super-level set {values > threshold}.
 
     The area comes from row-wise scans with linear interpolation of the
     crossing positions between adjacent samples (periodic in x).
     """
-    grid = u.grid
-    v = u.values - threshold
+    v = values - threshold
     pos = v > 0.0
     frac_pos = pos.mean()
     if frac_pos == 0.0:

@@ -90,6 +90,122 @@ def test_converge_writes_reports(tmp_path, capsys):
     assert json.loads((tmp_path / "manifest.json").read_text())["experiment"] == "converge"
 
 
+def _tree(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _assert_rerun_identical(tmp_path, args, capsys):
+    """Run into two fresh directories; return (exit code, stdout, files) of the first."""
+    runs = []
+    for name in ("first", "second"):
+        code, out = run_cli(["--out", str(tmp_path / name)] + args, capsys)
+        runs.append((code, out, _tree(tmp_path / name)))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_converge_rerun_is_byte_identical(tmp_path, capsys):
+    code, out, files = _assert_rerun_identical(
+        tmp_path, ["converge", "--k", "2", "--beta", "1,3", "--resolution", "16",
+                   "--dts", "0.05,0.025,0.0125,0.00625"], capsys)
+    assert code == 0 and out.count("slope=") == 2
+    assert sorted(files) == ["converge_k2.json", "converge_k2_beta1.csv",
+                             "converge_k2_beta3.csv", "manifest.json"]
+
+
+AC_TINY = ["allen-cahn", "--resolution", "32", "--T", "15"]
+
+
+def test_allen_cahn_writes_outputs(tmp_path, capsys):
+    code, out, files = _assert_rerun_identical(
+        tmp_path, AC_TINY + ["--schemes", "[[1,1],[2,3]]"], capsys)
+    assert code == 0
+    assert sorted(files) == ["field_k1_beta1.f64", "field_k1_beta1.json",
+                             "field_k2_beta3.f64", "field_k2_beta3.json",
+                             "manifest.json", "radius_k1_beta1.csv",
+                             "radius_k2_beta3.csv", "radius_summary.json"]
+    summary = json.loads(files["radius_summary.json"])
+    assert [(e["k"], e["beta"], e["diverged"]) for e in summary] == \
+        [(1, 1.0, False), (2, 3.0, False)]
+    assert all(0 < e["max_relative_deviation"] < 0.05 for e in summary)
+    assert [json.loads(line) for line in out.splitlines()] == summary
+    assert files["radius_k2_beta3.csv"].startswith(b"t,radius,radius_theory\n")
+    assert len(files["field_k2_beta3.f64"]) == 32 * 32 * 8
+    manifest = json.loads(files["manifest.json"])
+    assert manifest["experiment"] == "allen-cahn"
+    assert manifest["config"]["schemes"] == [[1, 1], [2, 3]]
+
+
+def test_allen_cahn_blow_up_exits_2(tmp_path, capsys):
+    code, out = run_cli(["--out", str(tmp_path), "allen-cahn", "--resolution", "32",
+                         "--T", "30", "--dt", "5", "--schemes", "[[2,1]]"], capsys)
+    assert code == 2
+    summary = json.loads((tmp_path / "radius_summary.json").read_text())
+    assert summary == [{"k": 2, "beta": 1.0, "diverged": True,
+                        "max_relative_deviation": None}]
+
+
+CH_TINY = ["cahn-hilliard", "--small", "--resolution", "32", "--no-reference"]
+
+
+def test_cahn_hilliard_writes_outputs(tmp_path, capsys):
+    code, out, files = _assert_rerun_identical(
+        tmp_path, CH_TINY + ["--T", "4e-5", "--schemes", "[[2,1],[3,3]]"], capsys)
+    assert code == 0
+    assert sorted(files) == ["cahn_hilliard_summary.json",
+                             "energy_k2_beta1.csv", "energy_k3_beta3.csv",
+                             "field_k2_beta1.f64", "field_k2_beta1.json",
+                             "field_k3_beta3.f64", "field_k3_beta3.json",
+                             "manifest.json"]
+    summary = json.loads(files["cahn_hilliard_summary.json"])
+    assert sorted(summary) == ["preset", "reference_checksum", "seed", "verdicts"]
+    assert summary["preset"]["n"] == 32 and summary["seed"] == 1234
+    assert summary["reference_checksum"] is None
+    assert summary["verdicts"] == [
+        {"k": 2, "beta": 1.0, "stable": True, "blowup_step": None},
+        {"k": 3, "beta": 3.0, "stable": True, "blowup_step": None}]
+    assert [json.loads(line) for line in out.splitlines()] == summary["verdicts"]
+    assert files["energy_k3_beta3.csv"].startswith(b"t,energy,ref_distance\n")
+
+
+def test_cahn_hilliard_blow_up_exits_2(tmp_path, capsys):
+    code, out = run_cli(["--out", str(tmp_path)] + CH_TINY +
+                        ["--T", "2e-4", "--dt", "1e-5", "--schemes", "[[2,1],[4,1]]"], capsys)
+    assert code == 2
+    verdicts = json.loads((tmp_path / "cahn_hilliard_summary.json").read_text())["verdicts"]
+    assert [v["stable"] for v in verdicts] == [True, False]
+    assert verdicts[1]["blowup_step"] > 0
+
+
+def test_schemes_accept_integral_float_order(tmp_path, capsys):
+    code, _ = run_cli(["--out", str(tmp_path / "ch")] + CH_TINY +
+                      ["--T", "4e-5", "--schemes", "[[4.0,2.5]]"], capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "ch" / "cahn_hilliard_summary.json").read_text())
+    assert summary["verdicts"][0]["k"] == 4
+    assert (tmp_path / "ch" / "energy_k4_beta2.5.csv").exists()
+    manifest = json.loads((tmp_path / "ch" / "manifest.json").read_text())
+    assert manifest["config"]["schemes"] == [[4.0, 2.5]]  # echoed as given
+
+    code, _ = run_cli(["--out", str(tmp_path / "ac")] + AC_TINY +
+                      ["--schemes", "[[2.0,3]]"], capsys)
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "ac").glob("radius_k*.csv")) == \
+        ["radius_k2_beta3.csv"]
+    summary = json.loads((tmp_path / "ac" / "radius_summary.json").read_text())
+    assert (summary[0]["k"], summary[0]["beta"]) == (2, 3.0)
+
+
+@pytest.mark.parametrize("command", ["allen-cahn", "cahn-hilliard"])
+@pytest.mark.parametrize("schemes", ["[[2.5,3]]", "[[2]]", "[]", '[["2",3]]', "[[true,1]]",
+                                     "[[2,3]"])
+def test_schemes_rejects_bad_pairs(tmp_path, capsys, command, schemes):
+    code = cli.main(["--out", str(tmp_path), command, "--schemes", schemes])
+    assert code == 1
+    assert "--schemes" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_config_file_preloads_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2, "beta": "5"}))
