@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .coeffs import (SchemeCoefficients, closed_form, eta,
-                     exact_scheme_coefficients, scheme_coefficients, solve_a,
-                     solve_b, solve_c, split_d)
+                     exact_scheme_coefficients, scheme_coefficients)
 from .certificates import (CertificateReport, certificate_polynomials,
                            classical_condition, stability_condition,
                            verify_certificate, verify_k5_range)
@@ -24,8 +23,7 @@ __all__ = [
     "certificate_polynomials", "characteristic_coeffs", "classical_condition",
     "closed_form", "eta", "exact_scheme_coefficients", "initialize",
     "is_stable", "min_on_interval", "roots", "run", "scan_region",
-    "scheme_coefficients", "solve_a", "solve_b", "solve_c", "split_d",
-    "stability_condition", "step", "sylvester_resultant",
+    "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",
     "telescoping_coefficients", "telescoping_identity_check",
     "verify_certificate", "verify_k5_range",
 ]

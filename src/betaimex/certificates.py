@@ -232,7 +232,7 @@ def classical_condition(k, gamma):
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     eta_t = ETA_TILDE[k]
-    c_t = float(np.abs(coeffs.solve_c(k, 1.0)).sum())
+    c_t = float(np.abs(coeffs._build(k, 1.0).c).sum())
     lhs = 1.0 - eta_t
     rhs = math.sqrt(c_t * gamma * (1.0 + eta_t ** 2))
     return lhs, rhs, lhs > rhs

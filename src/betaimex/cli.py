@@ -34,11 +34,6 @@ def _ensure_outdir(args):
     return outdir
 
 
-def _config_echo(args):
-    return {k: v for k, v in vars(args).items()
-            if k not in ("func", "config") and not callable(v)}
-
-
 def _coeff_payload(rec, exact):
     def render(seq):
         if exact:
@@ -84,7 +79,9 @@ def cmd_stability(args):
     sidecar = {"k": args.k, "beta": args.beta, "window": list(window),
                "resolution": list(res), "area": grid.area}
     write_json(stem + ".json", sidecar)
-    write_manifest(outdir, "stability", _config_echo(args) | {"window": list(window)}, args.seed)
+    manifest = {"k": args.k, "beta": args.beta, "window": list(window),
+                "res": args.res, "ascii_pgm": args.ascii_pgm}
+    write_manifest(outdir, "stability", manifest, args.seed)
     print(json.dumps(sidecar, sort_keys=True))
     return EXIT_OK
 
@@ -110,7 +107,8 @@ def cmd_verify(args):
     outdir = _ensure_outdir(args)
     path = os.path.join(outdir, f"verify_k{args.k}.json")
     write_json(path, records)
-    write_manifest(outdir, "verify", _config_echo(args), args.seed)
+    write_manifest(outdir, "verify", {"k": args.k, "beta": args.beta, "grid": args.grid},
+                   args.seed)
     if args.json:
         print(json.dumps(records, indent=2, sort_keys=True))
     else:

@@ -18,9 +18,9 @@ hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
 (beta-1)/(beta+15) for k = 2..5; this splitting is what the energy estimates
 in `certificates` and `telescoping` are built on.
 
-All functions accept beta as a float (returning numpy arrays) or as a
-Fraction (returning exact rational lists); the Fraction path backs the test
-oracles.
+`scheme_coefficients(k, beta)` is the one entry point: it returns the whole
+record (a, b, c, d, eta).  beta may be a float (float entries) or a Fraction
+(exact rational entries); the Fraction path backs the test oracles.
 """
 from __future__ import annotations
 
@@ -84,12 +84,6 @@ def vandermonde_dual_solve(nodes, rhs):
     return x
 
 
-def _pack(values, beta):
-    if isinstance(beta, Fraction):
-        return list(values)
-    return np.array([float(v) for v in values])
-
-
 def _solve_a(k, beta):
     # nodes beta-1+j carry a[k-j]; rhs row 1 is -1 (unit derivative), rest 0
     one = beta - beta + 1
@@ -116,39 +110,11 @@ def _solve_c(k, beta):
     return vandermonde_dual_solve(nodes, rhs)[::-1]
 
 
-def solve_a(k, beta):
-    """Derivative-formula coefficients a[0..k] (a[q] multiplies u^{n+1-k+q})."""
-    _check_order(k)
-    beta = _check_beta(beta)
-    return _pack(_solve_a(k, beta), beta)
-
-
-def solve_b(k, beta):
-    """Implicit interpolation coefficients b[0..k-1] (b[q] multiplies u^{n+2-k+q})."""
-    _check_order(k)
-    beta = _check_beta(beta)
-    return _pack(_solve_b(k, beta), beta)
-
-
-def solve_c(k, beta):
-    """Explicit interpolation coefficients c[0..k-1] (c[q] multiplies u^{n+1-k+q})."""
-    _check_order(k)
-    beta = _check_beta(beta)
-    return _pack(_solve_c(k, beta), beta)
-
-
 def eta(k, beta):
     """Splitting scalar eta_k(beta); vanishes at beta = 1."""
     _check_order(k)
     beta = _check_beta(beta)
     return (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-
-
-def split_d(k, beta):
-    """Residual implicit weights d = b - eta * c of the splitting b = eta*c + d."""
-    _check_order(k)
-    beta = _check_beta(beta)
-    return _pack(_build(k, beta).d, beta)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     stride = max(1, int(round(T / dt)) // 100)
     summary = itg.run(spec, config.k, config.beta, dt, T,
                       observers={"radius": radius_obs}, stride=stride,
-                      starter="imex1", rk4_substeps=20, raise_on_blowup=False)
+                      raise_on_blowup=False)
     times = tuple(summary.times)
     final = None
     if summary.final_state is not None:
@@ -270,7 +270,7 @@ def ch_reference_trajectory(preset, seed, stride):
         return 0.0
 
     itg.run(spec, 4, 1.0, dt, preset["T"], observers={"snap": snap},
-            stride=ratio * stride, starter="imex1", rk4_substeps=20)
+            stride=ratio * stride)
     digest = hashlib.sha256()
     for key in sorted(snapshots):
         digest.update(snapshots[key].tobytes())
@@ -315,8 +315,7 @@ def run_cahn_hilliard(config: ExperimentConfig,
 
         summary = itg.run(spec, k, beta, dt, preset["T"],
                           observers={"energy": energy_obs, "ref_distance": dist_obs},
-                          stride=stride, starter="imex1", rk4_substeps=20,
-                          raise_on_blowup=False)
+                          stride=stride, raise_on_blowup=False)
         final = None
         if summary.final_state is not None:
             final = np.fft.ifft2(summary.final_state).real

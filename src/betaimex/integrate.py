@@ -17,7 +17,6 @@ divides by a[k]/dt > 0 there, so semidefinite symbols are accepted.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,6 +25,7 @@ import numpy as np
 from .coeffs import SchemeCoefficients, scheme_coefficients
 
 BLOWUP_LIMIT = 1e10
+STARTER_SUBSTEPS = 20
 
 
 class BlowUpError(RuntimeError):
@@ -52,14 +52,6 @@ class ProblemSpec:
         self.linear_symbol = np.asarray(self.linear_symbol)
         if np.any(self.linear_symbol < 0):
             raise ValueError("linear symbol must be nonnegative (L positive semidefinite)")
-
-    def rhs(self, t, u):
-        out = -self.linear_symbol * u
-        if self.nonlinear is not None:
-            out = out - self.nonlinear(u)
-        if self.source is not None:
-            out = out + self.source(t)
-        return out
 
 
 @dataclass
@@ -94,40 +86,22 @@ def _resolve_coefficients(k, beta) -> SchemeCoefficients:
     return scheme_coefficients(k, beta)
 
 
-def _check_finite(u, step, t, summary=None):
+def _check_finite(u, step, t):
     if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
-        raise BlowUpError(step, t, None, summary)
+        raise BlowUpError(step, t, None)
 
 
-def _rk4_history(spec, k, dt, substeps):
-    levels = [np.array(spec.u0, copy=True)]
-    u = levels[0]
-    h = dt / substeps
-    for i in range(k - 1):
-        t = i * dt
-        for j in range(substeps):
-            tj = t + j * h
-            k1 = spec.rhs(tj, u)
-            k2 = spec.rhs(tj + h / 2, u + h / 2 * k1)
-            k3 = spec.rhs(tj + h / 2, u + h / 2 * k2)
-            k4 = spec.rhs(tj + h, u + h * k3)
-            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            _check_finite(u, i, tj + h)
-        levels.append(u)
-    return levels
-
-
-def _imex1_history(spec, k, dt, substeps):
+def _imex1_history(spec, k, dt):
     # backward-Euler IMEX substeps: implicit in L, explicit in G; the
-    # unconditional linear stability is what makes this usable on the
-    # fourth-order (conserved-flow) symbol where explicit starters are not
+    # unconditional linear stability is what makes this usable on the stiff
+    # fourth-order (conserved-flow) symbol
     levels = [np.array(spec.u0, copy=True)]
     u = levels[0]
-    h = dt / substeps
+    h = dt / STARTER_SUBSTEPS
     denom = 1.0 / h + spec.linear_symbol
     for i in range(k - 1):
         t = i * dt
-        for j in range(substeps):
+        for j in range(STARTER_SUBSTEPS):
             rhs = u / h
             if spec.nonlinear is not None:
                 rhs = rhs - spec.nonlinear(u)
@@ -139,32 +113,25 @@ def _imex1_history(spec, k, dt, substeps):
     return levels
 
 
-def initialize(spec: ProblemSpec, k, beta, dt, starter="rk4",
-               rk4_substeps=10) -> IntegratorState:
+def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     """Fill the k-level history.
 
-    starter: a callable t -> state for exact starts, "rk4" for classical
-    explicit Runge-Kutta substepping of the full right-hand side
-    (`rk4_substeps` substeps per dt; raise it when the linear symbol is stiff,
-    since the starter is fully explicit), or "imex1" for backward-Euler IMEX
-    substeps when the symbol is too stiff for any explicit starter.
+    starter: None for the default start, `STARTER_SUBSTEPS` backward-Euler
+    IMEX substeps per dt from `spec.u0` (implicit in L, so any nonnegative
+    symbol is accepted); or a callable t -> state for exact starts, called at
+    t = 0, dt, ..., (k-1)*dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     rec = _resolve_coefficients(k, beta)
     if spec.u0 is None or not np.all(np.isfinite(spec.u0)):
         raise ValueError("initial state must be finite")
-    if callable(starter):
+    if starter is None:
+        levels = _imex1_history(spec, k, dt)
+    elif callable(starter):
         levels = [np.asarray(starter(i * dt)) for i in range(k)]
-    elif starter == "rk4":
-        if k == 5:
-            warnings.warn("rk4 starter is fourth-order; with k=5 make dt small "
-                          "enough that the starter error stays below the scheme error")
-        levels = _rk4_history(spec, k, dt, rk4_substeps)
-    elif starter == "imex1":
-        levels = _imex1_history(spec, k, dt, rk4_substeps)
     else:
-        raise ValueError(f"unknown starter {starter!r}")
+        raise ValueError(f"starter must be None or a callable, not {starter!r}")
     for lv in levels:
         if not np.all(np.isfinite(lv)):
             raise ValueError("starter produced non-finite history")
@@ -223,7 +190,7 @@ class TrajectorySummary:
 
 
 def run(spec: ProblemSpec, k, beta, dt, T, observers=None, stride=1,
-        starter="rk4", rk4_substeps=10, raise_on_blowup=True) -> TrajectorySummary:
+        starter=None, raise_on_blowup=True) -> TrajectorySummary:
     """Integrate to time T, recording observers every `stride` steps.
 
     On blow-up the partial summary is attached to the raised BlowUpError
@@ -241,8 +208,7 @@ def run(spec: ProblemSpec, k, beta, dt, T, observers=None, stride=1,
             summary.series[name].append(fn(state_arr, t))
 
     try:
-        state = initialize(spec, k, beta, dt, starter=starter,
-                           rk4_substeps=rk4_substeps)
+        state = initialize(spec, k, beta, dt, starter=starter)
         for i, lv in enumerate(state.history):
             if i % stride == 0:
                 observe(lv, i * dt)

@@ -51,9 +51,7 @@ def test_criterion_02_formula_exactness_and_truncation_orders():
     worst = 0.0
     for k in coeffs.ORDERS:
         for beta in BETA_GRID:
-            a = coeffs.solve_a(k, beta)
-            b = coeffs.solve_b(k, beta)
-            c = coeffs.solve_c(k, beta)
+            a, b, c = coeffs.scheme_coefficients(k, beta).arrays()
             target = beta + k - 1
             for m in range(k + 1):
                 rhs = m * target ** (m - 1) if m else 0.0

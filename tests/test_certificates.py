@@ -146,7 +146,7 @@ def test_stability_condition_examples():
 
 def test_classical_condition_constants():
     assert cert.ETA_TILDE == {2: 0.0, 3: 0.0836, 4: 0.2878}
-    sums = {k: float(np.abs(coeffs.solve_c(k, 1.0)).sum()) for k in (2, 3, 4)}
+    sums = {k: float(np.abs(coeffs.scheme_coefficients(k, 1.0).c).sum()) for k in (2, 3, 4)}
     assert sums == {2: 3.0, 3: 7.0, 4: 15.0}
     lhs, rhs, ok = cert.classical_condition(2, 0.0)
     assert (lhs, rhs, ok) == (1.0, 0.0, True)

@@ -113,6 +113,18 @@ def test_converge_rerun_is_byte_identical(tmp_path, capsys):
                              "converge_k2_beta3.csv", "manifest.json"]
 
 
+@pytest.mark.parametrize("args,config", [
+    (["stability", "--k", "2", "--beta", "3", "--res", "20,20"],
+     {"k": 2, "beta": 3.0, "window": [-12.0, 4.0, -8.0, 8.0], "res": "20,20",
+      "ascii_pgm": False}),
+    (["verify", "--k", "3", "--grid", "1:2:0.5"], {"k": 3, "beta": 1.0, "grid": "1:2:0.5"}),
+])
+def test_scan_and_verify_manifests_do_not_depend_on_out(tmp_path, capsys, args, config):
+    _, _, files = _assert_rerun_identical(tmp_path, args, capsys)
+    manifest = json.loads(files["manifest.json"])
+    assert manifest["config"] == config and manifest["seed"] == 1234
+
+
 AC_TINY = ["allen-cahn", "--resolution", "32", "--T", "15"]
 
 

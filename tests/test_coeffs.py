@@ -14,16 +14,17 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def test_second_order_table():
-    assert np.allclose(coeffs.solve_a(2, 1.0), [0.5, -2.0, 1.5])
+    assert np.allclose(coeffs.scheme_coefficients(2, 1.0).a, [0.5, -2.0, 1.5])
     for beta in BETA_GRID:
-        assert np.allclose(coeffs.solve_b(2, beta), [-(beta - 1), beta])
-        assert np.allclose(coeffs.solve_c(2, beta), [-beta, beta + 1])
+        rec = coeffs.scheme_coefficients(2, beta)
+        assert np.allclose(rec.b, [-(beta - 1), beta])
+        assert np.allclose(rec.c, [-beta, beta + 1])
 
 
 def test_printed_high_order_entries():
-    assert coeffs.solve_a(4, 2.0)[-1] == pytest.approx(77 / 12, rel=1e-14)
-    assert np.allclose(coeffs.solve_b(3, 2.0), [1.0, -3.0, 3.0])
-    assert np.allclose(coeffs.solve_c(4, 1.0), [-1.0, 4.0, -6.0, 4.0])
+    assert coeffs.scheme_coefficients(4, 2.0).a[-1] == pytest.approx(77 / 12, rel=1e-14)
+    assert np.allclose(coeffs.scheme_coefficients(3, 2.0).b, [1.0, -3.0, 3.0])
+    assert np.allclose(coeffs.scheme_coefficients(4, 1.0).c, [-1.0, 4.0, -6.0, 4.0])
 
 
 def test_classical_bdf3_at_beta_one():
@@ -45,10 +46,10 @@ def test_eta_values():
 
 def test_split_examples():
     for beta in BETA_GRID:
-        d = coeffs.split_d(2, beta)
+        d = coeffs.scheme_coefficients(2, beta).d
         assert d[0] == pytest.approx(0.0, abs=1e-14)
         assert d[1] == pytest.approx(1.0 / beta, rel=1e-13)
-    assert coeffs.split_d(4, 2.0)[0] == pytest.approx(-0.2, rel=1e-13)
+    assert coeffs.scheme_coefficients(4, 2.0).d[0] == pytest.approx(-0.2, rel=1e-13)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -91,9 +92,7 @@ def test_row_sums_and_splitting(k, beta):
 def test_difference_formulas_exact_on_monomials(k, beta):
     # a reproduces the derivative of t^m (m <= k) at the shifted point,
     # b and c reproduce the value of t^m (m <= k-1); all on unit-step nodes
-    a = coeffs.solve_a(k, beta)
-    b = coeffs.solve_b(k, beta)
-    c = coeffs.solve_c(k, beta)
+    a, b, c = coeffs.scheme_coefficients(k, beta).arrays()
     target = beta + k - 1
     for m in range(k + 1):
         lhs = sum(a[q] * q ** m for q in range(k + 1))
@@ -123,13 +122,13 @@ def test_float_path_tracks_exact_path(k, num, den):
 
 def test_rejects_bad_orders_and_shifts():
     with pytest.raises(coeffs.OrderError):
-        coeffs.solve_a(6, 2.0)
+        coeffs.scheme_coefficients(6, 2.0)
     with pytest.raises(coeffs.OrderError):
-        coeffs.solve_a(1, 2.0)
+        coeffs.scheme_coefficients(1, 2.0)
     with pytest.raises(ValueError):
-        coeffs.solve_a(2, float("nan"))
+        coeffs.scheme_coefficients(2, float("nan"))
     with pytest.raises(ValueError):
-        coeffs.solve_a(2, 0.5)
+        coeffs.scheme_coefficients(2, 0.5)
     with pytest.raises(coeffs.OrderError):
         coeffs.closed_form(5, 7.0)
 

@@ -28,14 +28,31 @@ def test_exact_on_polynomials_up_to_degree_k(k, beta):
 
 def test_zero_problem_stays_zero():
     spec = itg.ProblemSpec(linear_symbol=np.zeros(4), u0=np.zeros(4))
-    s = itg.run(spec, 2, 3.0, 0.25, 2.0, starter="rk4")
+    s = itg.run(spec, 2, 3.0, 0.25, 2.0)
     assert np.all(s.final_state == 0.0)
 
 
-def test_rk4_starter_accuracy_scalar_decay():
-    spec = itg.ProblemSpec(linear_symbol=np.array([1.0]), u0=np.array([1.0]))
-    state = itg.initialize(spec, 4, 2.0, 0.1, starter="rk4")
-    assert abs(state.history[3][0] - math.exp(-0.3)) < 1e-9
+@pytest.mark.parametrize("k,beta", [(2, 3.0), (3, 3.0), (4, 2.5), (5, 7.0)])
+def test_default_starter_is_backward_euler_imex_substepping(k, beta):
+    # independently coded recurrence: n counts substeps from t = 0, and
+    # (1 + h*lam) u_{n+1} = u_n + h*(f(t_{n+1}) - g(u_n))
+    lam, dt = 2.5, 0.08
+    g = lambda u: 0.4 * u ** 3
+    f = lambda t: math.cos(3.0 * t)
+    spec = itg.ProblemSpec(linear_symbol=np.array([lam]), nonlinear=g,
+                           source=lambda t: np.array([f(t)]), u0=np.array([0.7]))
+    state = itg.initialize(spec, k, beta, dt)
+    m = itg.STARTER_SUBSTEPS
+    assert m == 20
+    h = dt / m
+    u, want = 0.7, [0.7]
+    for n in range((k - 1) * m):
+        u = (u + h * (f((n + 1) * h) - g(u))) / (1.0 + h * lam)
+        if (n + 1) % m == 0:
+            want.append(u)
+    assert state.n == k - 1 and len(state.history) == k
+    for got, ref in zip(state.history, want):
+        assert got[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_second_order_decay_error_and_order():
@@ -72,7 +89,7 @@ def test_beta_one_reduces_to_classical_imex(k):
     spec = itg.ProblemSpec(linear_symbol=np.array([lam]),
                            nonlinear=lambda u: 0.7 * np.sin(u),
                            u0=np.array([0.9]))
-    start = itg.initialize(spec, k, 1.0, dt, starter="rk4")
+    start = itg.initialize(spec, k, 1.0, dt)
     levels = [h[0] for h in start.history]
     s = itg.run(spec, k, 1.0, dt, T,
                 starter=lambda t: np.array([levels[int(round(t / dt))]]))
@@ -118,7 +135,7 @@ def test_heat_problem_stays_bounded_across_steps():
     bound = 10.0 * (np.abs(u0).max() + 3.0)
     for dt in (1e-3, 1e-2, 1e-1, 1.0):
         spec = itg.ProblemSpec(linear_symbol=lam, nonlinear=None, source=f, u0=u0)
-        s = itg.run(spec, 3, 2.0, dt, 40 * dt, starter="imex1", rk4_substeps=50,
+        s = itg.run(spec, 3, 2.0, dt, 40 * dt,
                     observers={"sup": lambda u, t: float(np.abs(u).max())})
         assert max(s.series["sup"]) < bound
 
@@ -127,10 +144,10 @@ def test_blowup_raises_with_step_and_partial_summary():
     spec = itg.ProblemSpec(linear_symbol=np.zeros(1),
                            nonlinear=lambda u: -u ** 2, u0=np.array([5.0]))
     with pytest.raises(itg.BlowUpError) as err:
-        itg.run(spec, 2, 1.0, 0.5, 25.0, starter="imex1")
+        itg.run(spec, 2, 1.0, 0.5, 25.0)
     assert err.value.step >= 0
     assert err.value.summary is not None and err.value.summary.diverged
-    s = itg.run(spec, 2, 1.0, 0.5, 25.0, starter="imex1", raise_on_blowup=False)
+    s = itg.run(spec, 2, 1.0, 0.5, 25.0, raise_on_blowup=False)
     assert s.diverged and s.blowup_step == err.value.step
 
 
@@ -143,8 +160,11 @@ def test_rejects_bad_inputs():
     spec = itg.ProblemSpec(linear_symbol=np.ones(1), u0=np.array([1.0]))
     with pytest.raises(ValueError):
         itg.initialize(spec, 2, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        itg.initialize(spec, 2, 1.0, 0.1, starter="nope")
+    for name in ("nope", "rk4", "imex1"):  # only None or a callable starts a run
+        with pytest.raises(ValueError):
+            itg.initialize(spec, 2, 1.0, 0.1, starter=name)
+        with pytest.raises(ValueError):
+            itg.run(spec, 2, 1.0, 0.1, 1.0, starter=name)
     with pytest.raises(ValueError):
         itg.run(spec, 3, 2.0, 1.0, 2.0)  # fewer than k steps
 
@@ -152,14 +172,8 @@ def test_rejects_bad_inputs():
 def test_first_order_baseline_is_backward_euler_imex():
     lam = 2.0
     spec = itg.ProblemSpec(linear_symbol=np.array([lam]), u0=np.array([1.0]))
-    state = itg.initialize(spec, 1, 1.0, 0.1, starter="rk4")
+    state = itg.initialize(spec, 1, 1.0, 0.1)
     state = itg.step(state, spec)
     assert state.newest[0] == pytest.approx(1.0 / (1.0 + 0.1 * lam), rel=1e-14)
     with pytest.raises(ValueError):
         itg.initialize(spec, 1, 2.0, 0.1)
-
-
-def test_k5_rk4_starter_warns():
-    spec = itg.ProblemSpec(linear_symbol=np.array([1.0]), u0=np.array([1.0]))
-    with pytest.warns(UserWarning, match="rk4 starter"):
-        itg.initialize(spec, 5, 7.0, 0.01, starter="rk4")

@@ -25,11 +25,11 @@ def test_roots_difference_of_squares():
 
 def test_explicit_polynomial_root_examples():
     # single root of the k=2 explicit polynomial at beta/(beta+1)
-    c = coeffs.solve_c(2, 3.0)
+    c = coeffs.scheme_coefficients(2, 3.0).c
     r = roots(RealPolynomial.from_coeffs(list(c)))
     assert len(r) == 1 and r[0].real == pytest.approx(0.75, rel=1e-12)
     # k=3: complex pair with squared modulus beta/(beta+2)
-    c = coeffs.solve_c(3, 2.0)
+    c = coeffs.scheme_coefficients(3, 2.0).c
     r = roots(RealPolynomial.from_coeffs(list(c)))
     assert np.allclose(np.abs(r) ** 2, 0.5, rtol=1e-10)
 

@@ -178,7 +178,7 @@ def test_fully_discrete_step_conserves_mass():
     spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(params, grid),
                            nonlinear=sp.nonlinear_fourier(params, grid),
                            u0=np.fft.fft2(u0))
-    state = itg.initialize(spec, 3, 3.0, 1e-7, starter="imex1", rk4_substeps=20)
+    state = itg.initialize(spec, 3, 3.0, 1e-7)
     mean0 = state.history[0][0, 0].real / (64 * 64)
     for _ in range(5):
         state = itg.step(state, spec)

@@ -20,7 +20,7 @@ def test_second_order_characteristic_matches_printed_quadratic(beta, z):
 
 def test_zero_z_reduces_to_derivative_weights():
     got = characteristic_coeffs(4, 2.0, 0.0)
-    assert np.allclose(got, coeffs.solve_a(4, 2.0))
+    assert np.allclose(got, coeffs.scheme_coefficients(4, 2.0).a)
 
 
 def test_third_order_beta1_at_minus_one():
@@ -85,6 +85,19 @@ def test_area_grows_with_shift():
         assert areas[(k, 5.0)] > areas[(k, 3.0)] > areas[(k, 1.0)]
     area_21 = scan_region(2, 1.0, resolution=(150, 150)).area
     assert areas[(4, 3.0)] > area_21
+
+
+ORACLE_CASES = [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 3.0, 5.0)] + [(5, 7.0)]
+
+
+@pytest.mark.parametrize("k,beta", ORACLE_CASES)
+def test_scan_mask_matches_is_stable_at_every_cell_centre(k, beta):
+    grid = scan_region(k, beta, resolution=(41, 40))
+    re = grid.re_lo + (np.arange(grid.nx) + 0.5) * (grid.re_hi - grid.re_lo) / grid.nx
+    im = grid.im_lo + (np.arange(grid.ny) + 0.5) * (grid.im_hi - grid.im_lo) / grid.ny
+    want = np.array([[is_stable(k, beta, complex(x, y)) for y in im] for x in re])
+    assert grid.mask.shape == want.shape
+    assert np.array_equal(grid.mask, want)
 
 
 def test_scan_rejects_empty_window():
