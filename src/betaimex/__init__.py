@@ -2,15 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .coeffs import (SchemeCoefficients, closed_form, eta,
-                     exact_scheme_coefficients, scheme_coefficients)
-from .certificates import (CertificateReport, certificate_polynomials,
-                           classical_condition, stability_condition,
-                           verify_certificate, verify_k5_range)
+from .coeffs import (SchemeCoefficients, eta, exact_scheme_coefficients,
+                     scheme_coefficients)
+from .certificates import (CertificateReport, classical_condition,
+                           stability_condition, verify_certificate,
+                           verify_k5_range)
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
                         TrajectorySummary, initialize, run, step)
-from .polynomials import (RealPolynomial, min_on_interval, roots,
-                          sylvester_resultant)
+from .polynomials import RealPolynomial, roots, sylvester_resultant
 from .stability import StabilityGrid, characteristic_coeffs, is_stable, scan_region
 from .telescoping import (TelescopingCertificate, telescoping_coefficients,
                           telescoping_identity_check)
@@ -20,9 +19,9 @@ __all__ = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "RealPolynomial", "SchemeCoefficients", "StabilityGrid",
     "TelescopingCertificate", "TrajectorySummary",
-    "certificate_polynomials", "characteristic_coeffs", "classical_condition",
-    "closed_form", "eta", "exact_scheme_coefficients", "initialize",
-    "is_stable", "min_on_interval", "roots", "run", "scan_region",
+    "characteristic_coeffs", "classical_condition", "eta",
+    "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
+    "scan_region",
     "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",
     "telescoping_coefficients", "telescoping_identity_check",
     "verify_certificate", "verify_k5_range",

@@ -15,25 +15,19 @@ f_k and h_k are evaluated from their rational closed forms; the interval
 minima are taken over exact rational re-evaluations at the (float) critical
 points, because the raw double-precision values of these polynomials lose
 several digits to cancellation once beta is large.
-
-The circle_pairing_* functions rebuild the same quantities directly from the
-scheme coefficients and complex exponentials; they are the independent route
-the test suite compares the closed forms against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import coeffs
 from .polynomials import (RealPolynomial, real_critical_points, roots,
                           sylvester_resultant)
-
-F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
 
 # smallest admissible multiplier shifts of the classical schemes
 ETA_TILDE = {2: 0.0, 3: 0.0836, 4: 0.2878}
@@ -82,44 +76,6 @@ def _h_coeffs(k, B):
     raise coeffs.OrderError(f"no certificate polynomial for k={k}")
 
 
-def certificate_polynomials(k, beta):
-    """The pair (f_k, h_k) evaluated at beta, as float RealPolynomials."""
-    b = float(beta)
-    f = RealPolynomial.from_coeffs([float(c) for c in _f_coeffs(k, b)])
-    h = RealPolynomial.from_coeffs([float(c) for c in _h_coeffs(k, b)])
-    return f, h
-
-
-def g4_polynomial(beta):
-    """Auxiliary quadratic bounding the interior critical values of f_4."""
-    w0, w1, w2, _ = _f_coeffs(4, float(beta))
-    return RealPolynomial.from_coeffs([3 * w0, 2 * w1, w2])
-
-
-def circle_pairing_f(k, beta, theta):
-    """Re[A~(e^{i t}) e^{-i t} C~(e^{-i t})], rebuilt from raw coefficients.
-
-    Equals (1 - cos t) * f_k(cos t) / F_SCALE[k].
-    """
-    rec = coeffs.scheme_coefficients(k, beta)
-    a, _, c = rec.arrays()
-    z = np.exp(1j * np.asarray(theta))
-    A = sum(a[q] * z ** q for q in range(k + 1))
-    C = sum(c[q] * z ** (-q) for q in range(k))
-    return (A * C / z).real
-
-
-def circle_pairing_h(k, beta, theta):
-    """Re[D~(e^{i t}) C~(e^{-i t})]; equals h_k(cos t)."""
-    rec = coeffs.scheme_coefficients(k, beta)
-    c = np.asarray(rec.c, dtype=float)
-    d = np.asarray(rec.d, dtype=float)
-    z = np.exp(1j * np.asarray(theta))
-    D = sum(d[q] * z ** q for q in range(k))
-    C = sum(c[q] * z ** (-q) for q in range(k))
-    return (D * C).real
-
-
 def _exact_horner(frac_coeffs, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(frac_coeffs):
@@ -127,11 +83,11 @@ def _exact_horner(frac_coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _certified_min(coeff_fn, k, beta, lo=-1.0, hi=1.0):
-    """Minimum over [lo, hi]: float critical points, exact rational values."""
+def _certified_min(coeff_fn, k, beta):
+    """Minimum over [-1, 1]: float critical points, exact rational values."""
     float_coeffs = [float(c) for c in coeff_fn(k, float(beta))]
     p = RealPolynomial.from_coeffs(float_coeffs)
-    candidates = [lo, hi] + [x for x in real_critical_points(p) if lo < x < hi]
+    candidates = [-1.0, 1.0] + [x for x in real_critical_points(p) if -1.0 < x < 1.0]
     exact_coeffs = [Fraction(c) for c in coeff_fn(k, Fraction(beta))]
     best_x, best_v = None, None
     for x in sorted(candidates):
@@ -195,15 +151,13 @@ def verify_certificate(k, beta) -> CertificateReport:
     return _build_report(k, beta)
 
 
-def verify_k5_range(betas: Optional[Sequence[float]] = None):
-    """Fifth-order sweep; default grid is beta = 0.0, 0.1, ..., 100.0.
+def verify_k5_range(betas):
+    """Fifth-order sweep over the given betas, each within [0, 100].
 
     Values below 1 are allowed here (the root-modulus claim covers [0, 100]),
     so the coefficient systems are solved directly without the beta >= 1
     guard used by the public generator.
     """
-    if betas is None:
-        betas = [Fraction(i, 10) for i in range(1001)]
     reports = []
     for beta in betas:
         if not 0 <= beta <= 100:

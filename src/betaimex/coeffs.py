@@ -25,6 +25,8 @@ record (a, b, c, d, eta).  beta may be a float (float entries) or a Fraction
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 ORDERS = (2, 3, 4, 5)
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 # eta_k(beta) = (beta - 1) / (beta + offset)
 ETA_DENOMINATOR_OFFSET = {2: 0, 3: 1, 4: 3, 5: 15}
@@ -142,15 +146,17 @@ class SchemeCoefficients:
 def _admissibility_warning(k, beta):
     b = float(beta)
     if k == 4 and b < 2.0:
-        warnings.warn(
-            f"k=4 with beta={b:g}: multiplier certificate requires beta >= 2",
-            stacklevel=3,
-        )
-    if k == 5 and b < 6.5:
-        warnings.warn(
-            f"k=5 with beta={b:g}: multiplier certificate verified only for beta >= 6.5",
-            stacklevel=3,
-        )
+        message = f"k=4 with beta={b:g}: multiplier certificate requires beta >= 2"
+    elif k == 5 and b < 6.5:
+        message = f"k=5 with beta={b:g}: multiplier certificate verified only for beta >= 6.5"
+    else:
+        return
+    # attribute the warning to the first caller outside this package, however
+    # deep inside it the check ran (stacklevel 1 is this frame)
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _build(k, beta) -> SchemeCoefficients:
@@ -176,45 +182,3 @@ def scheme_coefficients(k, beta):
 def exact_scheme_coefficients(k, beta):
     """Rational-arithmetic twin of scheme_coefficients (exact test oracle)."""
     return scheme_coefficients(k, Fraction(beta))
-
-
-def closed_form(k, beta):
-    """Printed rational closed forms for k = 2, 3, 4 (no closed form at k = 5)."""
-    if k not in (2, 3, 4):
-        raise OrderError(f"closed forms are tabulated for k in (2, 3, 4), not k={k}")
-    beta = _check_beta(beta)
-    _admissibility_warning(k, beta)
-    B = beta
-    if k == 2:
-        a = ((2 * B - 1) / 2, -2 * B, (2 * B + 1) / 2)
-        b = (-(B - 1), B)
-        c = (-B, B + 1)
-        d = (b[0] * 0, 1 / B)
-    elif k == 3:
-        a = (-(3 * B ** 2 - 1) / 6,
-             (9 * B ** 2 + 6 * B - 6) / 6,
-             -(9 * B ** 2 + 12 * B - 3) / 6,
-             (3 * B ** 2 + 6 * B + 2) / 6)
-        b = ((B ** 2 - B) / 2, -(B ** 2 - 1), (B ** 2 + B) / 2)
-        c = ((B ** 2 + B) / 2, -(B ** 2 + 2 * B), (B ** 2 + 3 * B + 2) / 2)
-        d = (b[0] * 0, (1 - B) / (1 + B), b[0] * 0 + 1)
-    else:
-        a = ((2 * B ** 3 + 3 * B ** 2 - B - 1) / 12,
-             (-8 * B ** 3 - 18 * B ** 2 + 4 * B + 6) / 12,
-             (12 * B ** 3 + 36 * B ** 2 + 6 * B - 18) / 12,
-             (-8 * B ** 3 - 30 * B ** 2 - 20 * B + 10) / 12,
-             (2 * B ** 3 + 9 * B ** 2 + 11 * B + 3) / 12)
-        b = ((-B ** 3 + B) / 6,
-             (B ** 3 + B ** 2 - 2 * B) / 2,
-             (-B ** 3 - 2 * B ** 2 + B + 2) / 2,
-             (B ** 3 + 3 * B ** 2 + 2 * B) / 6)
-        c = ((-B ** 3 - 3 * B ** 2 - 2 * B) / 6,
-             (B ** 3 + 4 * B ** 2 + 3 * B) / 2,
-             (-B ** 3 - 5 * B ** 2 - 6 * B) / 2,
-             (B ** 3 + 6 * B ** 2 + 11 * B + 6) / 6)
-        d = (-B * (B ** 2 - 1) / (6 * (B + 3)),
-             B * (B - 1) / 2,
-             -(B ** 2 + B - 2) / 2,
-             (B ** 2 + 3 * B + 2) / 6)
-    e = (B - 1) / (B + ETA_DENOMINATOR_OFFSET[k])
-    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=e)

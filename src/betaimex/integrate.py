@@ -27,6 +27,10 @@ from .coeffs import SchemeCoefficients, scheme_coefficients
 BLOWUP_LIMIT = 1e10
 STARTER_SUBSTEPS = 20
 
+# classical backward-Euler IMEX baseline (implicit L, explicit G)
+_FIRST_ORDER = SchemeCoefficients(k=1, beta=1.0, a=(-1.0, 1.0), b=(1.0,),
+                                  c=(1.0,), d=(1.0,), eta=0.0)
+
 
 class BlowUpError(RuntimeError):
     """Raised when the state leaves the finite range; carries diagnostics."""
@@ -72,17 +76,11 @@ class IntegratorState:
         return self.n * self.dt
 
 
-def first_order_coefficients() -> SchemeCoefficients:
-    """Classical backward-Euler IMEX baseline (implicit L, explicit G)."""
-    return SchemeCoefficients(k=1, beta=1.0, a=(-1.0, 1.0), b=(1.0,),
-                              c=(1.0,), d=(1.0,), eta=0.0)
-
-
 def _resolve_coefficients(k, beta) -> SchemeCoefficients:
     if k == 1:
         if float(beta) != 1.0:
             raise ValueError("the first-order baseline only exists at beta = 1")
-        return first_order_coefficients()
+        return _FIRST_ORDER
     return scheme_coefficients(k, beta)
 
 

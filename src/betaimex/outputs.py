@@ -80,4 +80,3 @@ def write_manifest(outdir, experiment, config_dict, seed):
         "version": __version__,
     }
     write_json(os.path.join(outdir, "manifest.json"), payload)
-    return payload

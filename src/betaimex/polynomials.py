@@ -1,8 +1,8 @@
-"""Dense univariate real polynomials: evaluation, roots, resultants, interval minima.
+"""Dense univariate real polynomials: evaluation, roots, resultants, critical points.
 
 Coefficients are stored in ascending degree order.  Root finding goes through
 the companion matrix (balanced eigensolve); resultants are Sylvester-matrix
-determinants, computed exactly when the inputs are rational.
+determinants, always computed exactly in rational arithmetic.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ TRIM_TOL = 1e-14
 ROOT_RESIDUAL_TOL = 1e-8
 
 
-def _trim(coeffs, tol=TRIM_TOL):
+def _trim(coeffs):
     c = [float(x) for x in coeffs]
     if not c:
         return [0.0]
@@ -25,7 +25,7 @@ def _trim(coeffs, tol=TRIM_TOL):
     if scale == 0.0:
         return [0.0]
     n = len(c)
-    while n > 1 and abs(c[n - 1]) <= tol * scale:
+    while n > 1 and abs(c[n - 1]) <= TRIM_TOL * scale:
         n -= 1
     return c[:n]
 
@@ -56,17 +56,6 @@ class RealPolynomial:
         return RealPolynomial.from_coeffs(
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
-
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0.0
-
-
-def polynomial_from_roots(root_list) -> RealPolynomial:
-    """Monic polynomial with the given (possibly complex) roots; coefficients realified."""
-    coeffs = np.array([1.0 + 0.0j])
-    for r in root_list:
-        coeffs = np.concatenate([[0.0], coeffs]) - r * np.concatenate([coeffs, [0.0]])
-    return RealPolynomial.from_coeffs(coeffs.real.tolist())
 
 
 def roots(p: RealPolynomial) -> np.ndarray:
@@ -143,13 +132,8 @@ def _exact_det(rows):
 
 
 def sylvester_resultant(p, q):
-    """Determinant of the Sylvester matrix; exact Fraction when both inputs are rational."""
-    pc, qc = _coeff_list(p), _coeff_list(q)
-    exact = all(isinstance(x, (int, Fraction)) for x in pc + qc)
-    rows = sylvester_matrix(pc, qc)
-    if exact:
-        return _exact_det(rows)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    """Determinant of the Sylvester matrix, as an exact Fraction."""
+    return _exact_det(sylvester_matrix(p, q))
 
 
 def _real_roots_quadratic(c0, c1, c2):
@@ -215,20 +199,3 @@ def real_critical_points(p: RealPolynomial):
         return _real_roots_cubic(*c)
     rts = roots(dp)
     return [r.real for r in rts if abs(r.imag) < 1e-9 * max(1.0, abs(r))]
-
-
-def min_on_interval(p: RealPolynomial, lo: float, hi: float):
-    """Global minimum of p over [lo, hi]: endpoints plus interior critical points.
-
-    Returns (argmin, minimum).
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    candidates = [lo, hi]
-    candidates += [x for x in real_critical_points(p) if lo < x < hi]
-    best_x, best_v = lo, p(lo)
-    for x in sorted(candidates):
-        v = p(x)
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v

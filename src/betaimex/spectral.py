@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class PhaseFieldParams:
     mobility: float
     eps: float
     alpha: int
-    source: Optional[Callable] = None
 
     def __post_init__(self):
         if self.mobility <= 0 or self.eps <= 0:
@@ -89,14 +87,13 @@ def free_energy(params: PhaseFieldParams, grid: Grid2D, values: np.ndarray) -> f
     return float((grad + well).sum() * grid.cell_area)
 
 
-def radius_of_circle(grid: Grid2D, values: np.ndarray, threshold: float = 0.0) -> float:
-    """Radius sqrt(area / pi) of the super-level set {values > threshold}.
+def radius_of_circle(grid: Grid2D, values: np.ndarray) -> float:
+    """Radius sqrt(area / pi) of the super-level set {values > 0}.
 
     The area comes from row-wise scans with linear interpolation of the
     crossing positions between adjacent samples (periodic in x).
     """
-    v = values - threshold
-    pos = v > 0.0
+    pos = values > 0.0
     frac_pos = pos.mean()
     if frac_pos == 0.0:
         raise ValueError("level set is empty: no interface to measure")
@@ -105,7 +102,7 @@ def radius_of_circle(grid: Grid2D, values: np.ndarray, threshold: float = 0.0) -
     area = 0.0
     dx = grid.dx
     for j in range(grid.ny):
-        row = v[:, j]
+        row = values[:, j]
         nxt = np.roll(row, -1)
         length = dx * float(np.count_nonzero(row > 0.0))
         # linear-interpolation correction at each sign change
@@ -133,11 +130,8 @@ def manufactured_solution(grid: Grid2D, t: float) -> np.ndarray:
     return np.exp(s) * math.sin(t)
 
 
-def manufactured_source(grid: Grid2D, t: float,
-                        params: PhaseFieldParams = MANUFACTURED_PARAMS) -> np.ndarray:
+def manufactured_source(grid: Grid2D, t: float) -> np.ndarray:
     """f = u_t + L u + G[u] for the manufactured profile, analytically on the grid."""
-    if params.alpha != 0:
-        raise ValueError("manufactured source is defined for the nonconserved flow")
     pi = np.pi
     s = np.sin(pi * grid.X) * np.sin(pi * grid.Y)
     sx = pi * np.cos(pi * grid.X) * np.sin(pi * grid.Y)
@@ -145,5 +139,5 @@ def manufactured_source(grid: Grid2D, t: float,
     es = np.exp(s)
     u = es * math.sin(t)
     lap = es * math.sin(t) * (-2.0 * pi ** 2 * s + sx ** 2 + sy ** 2)
-    m, eps2 = params.mobility, params.eps ** 2
+    m, eps2 = MANUFACTURED_PARAMS.mobility, MANUFACTURED_PARAMS.eps ** 2
     return es * math.cos(t) - m * lap - (m / eps2) * u * (1.0 - u * u)

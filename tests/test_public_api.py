@@ -1,0 +1,19 @@
+import betaimex
+
+PUBLIC_NAMES = [
+    "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
+    "RealPolynomial", "SchemeCoefficients", "StabilityGrid",
+    "TelescopingCertificate", "TrajectorySummary", "__version__",
+    "characteristic_coeffs", "classical_condition", "eta",
+    "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
+    "scan_region", "scheme_coefficients", "stability_condition", "step",
+    "sylvester_resultant", "telescoping_coefficients",
+    "telescoping_identity_check", "verify_certificate", "verify_k5_range",
+]
+
+
+def test_public_surface_is_exactly_the_listed_names():
+    # second routes the tests compare against live in tests/oracles.py
+    assert sorted(betaimex.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(betaimex, name) is not None
