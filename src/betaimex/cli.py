@@ -4,9 +4,10 @@ Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
 The three experiments share one path: `EXPERIMENTS` maps each subcommand to
 its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
-Global flags --out/--seed/--json apply everywhere; a JSON config file can
-preload any flag (explicit command-line flags win).  Exit codes: 0 all good,
-2 completed but some scheme was judged unstable, 1 internal error.
+Global flags --out/--seed apply everywhere; a JSON config file can preload
+any flag (explicit command-line flags win).  Exit codes: 0 all good, 2
+completed but some scheme was judged unstable, 1 internal error.  Run as a
+program, warnings print as `warning: <message>` without a source location.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__, certificates, coeffs, stability
@@ -75,12 +77,12 @@ def cmd_stability(args):
     grid = stability.scan_region(args.k, args.beta, window=window, resolution=res)
     outdir = _ensure_outdir(args)
     stem = os.path.join(outdir, f"stability_k{args.k}_beta{args.beta:g}")
-    write_pgm(stem + ".pgm", grid.mask, binary=not args.ascii_pgm)
+    write_pgm(stem + ".pgm", grid.mask)
     sidecar = {"k": args.k, "beta": args.beta, "window": list(window),
                "resolution": list(res), "area": grid.area}
     write_json(stem + ".json", sidecar)
     manifest = {"k": args.k, "beta": args.beta, "window": list(window),
-                "res": args.res, "ascii_pgm": args.ascii_pgm}
+                "res": args.res}
     write_manifest(outdir, "stability", manifest, args.seed)
     print(json.dumps(sidecar, sort_keys=True))
     return EXIT_OK
@@ -109,13 +111,10 @@ def cmd_verify(args):
     write_json(path, records)
     write_manifest(outdir, "verify", {"k": args.k, "beta": args.beta, "grid": args.grid},
                    args.seed)
-    if args.json:
-        print(json.dumps(records, indent=2, sort_keys=True))
-    else:
-        for r in reports:
-            verdict = "pass" if r.passed else "FAIL"
-            print(f"k={r.k} beta={r.beta:g}: {verdict}  min_f={r.min_f:.3e} "
-                  f"min_h={r.min_h:.3e} rmax={r.max_root_modulus_C:.6f}")
+    for r in reports:
+        verdict = "pass" if r.passed else "FAIL"
+        print(f"k={r.k} beta={r.beta:g}: {verdict}  min_f={r.min_f:.3e} "
+              f"min_h={r.min_h:.3e} rmax={r.max_root_modulus_C:.6f}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_UNSTABLE
 
 
@@ -233,7 +232,6 @@ def build_parser():
     parser.add_argument("--config", help="JSON file preloading any flag of the subcommand")
     parser.add_argument("--out", help="output directory", default=None)
     parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--json", action="store_true", help="prefer JSON console output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="print the coefficient record of one scheme")
@@ -248,7 +246,6 @@ def build_parser():
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--window", default="-12,4,-8,8")
     p.add_argument("--res", default="600,600")
-    p.add_argument("--ascii-pgm", action="store_true", help="write P2 instead of P5")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="multiplier certificate reports")
@@ -305,6 +302,7 @@ def main(argv=None) -> int:
 
 
 def entry():
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(main())
 
 

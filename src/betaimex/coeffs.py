@@ -88,29 +88,11 @@ def vandermonde_dual_solve(nodes, rhs):
     return x
 
 
-def _solve_a(k, beta):
-    # nodes beta-1+j carry a[k-j]; rhs row 1 is -1 (unit derivative), rest 0
-    one = beta - beta + 1
-    nodes = [beta - 1 + j for j in range(k + 1)]
-    rhs = [one * 0] * (k + 1)
-    rhs[1] = -one
-    sol = vandermonde_dual_solve(nodes, rhs)
-    return sol[::-1]
-
-
-def _solve_b(k, beta):
-    one = beta - beta + 1
-    nodes = [beta - 1 + j for j in range(k)]
-    rhs = [one * 0] * k
-    rhs[0] = one
-    return vandermonde_dual_solve(nodes, rhs)[::-1]
-
-
-def _solve_c(k, beta):
-    one = beta - beta + 1
-    nodes = [beta + j for j in range(k)]
-    rhs = [one * 0] * k
-    rhs[0] = one
+def _weights(nodes, row, value):
+    # weights w with sum_j w[j] * nodes[j]**m = value at m = row and 0 at the
+    # other m, listed from the last node to the first (ascending level index)
+    rhs = [0] * len(nodes)
+    rhs[row] = value
     return vandermonde_dual_solve(nodes, rhs)[::-1]
 
 
@@ -161,14 +143,15 @@ def _admissibility_warning(k, beta):
 
 def _build(k, beta) -> SchemeCoefficients:
     # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100]
+    # a: unit derivative (row 1, sign -1) on beta-1, ..., beta+k-1; b and c:
+    # unit value (row 0) on beta-1, ..., beta+k-2 and beta, ..., beta+k-1
     e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-    b = _solve_b(k, beta)
-    c = _solve_c(k, beta)
+    a = _weights([beta - 1 + j for j in range(k + 1)], 1, -1)
+    b = _weights([beta - 1 + j for j in range(k)], 0, 1)
+    c = _weights([beta + j for j in range(k)], 0, 1)
     d = [bq - e * cq for bq, cq in zip(b, c)]
-    return SchemeCoefficients(
-        k=k, beta=beta,
-        a=tuple(_solve_a(k, beta)), b=tuple(b), c=tuple(c), d=tuple(d), eta=e,
-    )
+    return SchemeCoefficients(k=k, beta=beta, a=tuple(a), b=tuple(b), c=tuple(c),
+                              d=tuple(d), eta=e)
 
 
 def scheme_coefficients(k, beta):

@@ -107,8 +107,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             linear_symbol=L, nonlinear=G,
             source=lambda t: np.fft.fft2(sp.manufactured_source(grid, t)),
             u0=exact_state(0.0))
-        summary = itg.run(spec, config.k, config.beta, dt, T, starter=exact_state,
-                          raise_on_blowup=False)
+        summary = itg.run(spec, config.k, config.beta, dt, T, starter=exact_state)
         if summary.diverged:
             errors.append(float("inf"))
             continue
@@ -186,15 +185,12 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
         return sp.radius_of_circle(grid, np.fft.ifft2(u_hat).real) * AC_MAP_SCALE
 
     stride = max(1, int(round(T / dt)) // 100)
-    summary = itg.run(spec, config.k, config.beta, dt, T,
-                      observers={"radius": radius_obs}, stride=stride,
-                      raise_on_blowup=False)
+    summary = itg.run(spec, config.k, config.beta, dt, T, observe=radius_obs,
+                      stride=stride)
     times = tuple(summary.times)
-    final = None
-    if summary.final_state is not None:
-        final = np.fft.ifft2(summary.final_state).real
+    final = None if summary.final_state is None else np.fft.ifft2(summary.final_state).real
     return RadiusReport(k=config.k, beta=config.beta, dt=dt, times=times,
-                        radius=tuple(summary.series["radius"]),
+                        radius=tuple(summary.values),
                         radius_theory=tuple(theory_radius(t) for t in times),
                         diverged=summary.diverged, blowup_step=summary.blowup_step,
                         grid=grid, final_values=final)
@@ -255,22 +251,23 @@ def ch_reference_trajectory(preset, seed, stride):
     """Fine-step classical fourth-order trajectory at every `stride`-th preset step.
 
     The fine step is dt / ref_dt_ratio.  Returns (snapshots keyed by the
-    rounded time i * dt of preset step i, sha256 checksum).
+    rounded time i * dt of preset step i, sha256 checksum); a blow-up of the
+    reference run raises its `BlowUpError`.
     """
     grid, params, L, G, u0 = _ch_problem(preset, seed)
     ratio = preset["ref_dt_ratio"]
     dt = preset["dt"] / ratio
     spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
+    summary = itg.run(spec, 4, 1.0, dt, preset["T"],
+                      observe=lambda u_hat, t: np.fft.ifft2(u_hat).real.copy(),
+                      stride=ratio * stride)
+    if summary.blowup is not None:
+        raise summary.blowup
     snapshots = {}
-
-    def snap(u_hat, t):
+    for t, u in zip(summary.times, summary.values):
         n = round(t / dt)
         if n % (ratio * stride) == 0:  # the final step may fall off the stride
-            snapshots[round(n // ratio * preset["dt"], 12)] = np.fft.ifft2(u_hat).real.copy()
-        return 0.0
-
-    itg.run(spec, 4, 1.0, dt, preset["T"], observers={"snap": snap},
-            stride=ratio * stride)
+            snapshots[round(n // ratio * preset["dt"], 12)] = u
     digest = hashlib.sha256()
     for key in sorted(snapshots):
         digest.update(snapshots[key].tobytes())
@@ -303,26 +300,21 @@ def run_cahn_hilliard(config: ExperimentConfig,
     for k, beta in schemes:
         spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
 
-        def energy_obs(u_hat, t):
-            return sp.free_energy(params, grid, np.fft.ifft2(u_hat).real)
-
-        def dist_obs(u_hat, t):
+        def observe(u_hat, t):
+            # energy and distance to the reference snapshot from one inverse FFT
+            u = np.fft.ifft2(u_hat).real
             ref = reference.get(round(t, 12))
-            if ref is None:
-                return float("nan")
-            diff = np.fft.ifft2(u_hat).real - ref
-            return math.sqrt(float((diff ** 2).sum()) * grid.cell_area)
+            dist = (float("nan") if ref is None
+                    else math.sqrt(float(((u - ref) ** 2).sum()) * grid.cell_area))
+            return sp.free_energy(params, grid, u), dist
 
-        summary = itg.run(spec, k, beta, dt, preset["T"],
-                          observers={"energy": energy_obs, "ref_distance": dist_obs},
-                          stride=stride, raise_on_blowup=False)
-        final = None
-        if summary.final_state is not None:
-            final = np.fft.ifft2(summary.final_state).real
+        summary = itg.run(spec, k, beta, dt, preset["T"], observe=observe,
+                          stride=stride)
+        final = None if summary.final_state is None else np.fft.ifft2(summary.final_state).real
         report.verdicts.append(SchemeVerdict(
             k=k, beta=beta, stable=not summary.diverged,
             blowup_step=summary.blowup_step, times=tuple(summary.times),
-            energy=tuple(summary.series["energy"]),
-            ref_distance=tuple(summary.series["ref_distance"]),
+            energy=tuple(e for e, _ in summary.values),
+            ref_distance=tuple(d for _, d in summary.values),
             final_values=final, grid=grid))
     return report

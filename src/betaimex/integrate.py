@@ -14,6 +14,9 @@ supported as the baseline scheme; orders 2..5 come from `coeffs`.
 
 The zero mode of a periodic Laplacian gives L = 0 for the mean; the solve
 divides by a[k]/dt > 0 there, so semidefinite symbols are accepted.
+
+`initialize` and `step` raise `BlowUpError` on leaving the finite range; `run`
+returns a `TrajectorySummary` either way, with a blow-up in `summary.blowup`.
 """
 from __future__ import annotations
 
@@ -33,14 +36,13 @@ _FIRST_ORDER = SchemeCoefficients(k=1, beta=1.0, a=(-1.0, 1.0), b=(1.0,),
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the state leaves the finite range; carries diagnostics."""
+    """Raised when the state leaves the finite range; `last_state` is the last finite level."""
 
-    def __init__(self, step, time, last_state, summary=None):
+    def __init__(self, step, time, last_state):
         super().__init__(f"solution blew up at step {step} (t = {time:g})")
         self.step = step
         self.time = time
         self.last_state = last_state
-        self.summary = summary
 
 
 @dataclass
@@ -177,52 +179,54 @@ def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
 
 @dataclass
 class TrajectorySummary:
-    """Observer time series plus run outcome."""
+    """Observed values at `times`, the final finite level and the blow-up, if any."""
 
     times: list = field(default_factory=list)
-    series: dict = field(default_factory=dict)
+    values: list = field(default_factory=list)
     final_state: Optional[np.ndarray] = None
-    steps: int = 0
-    diverged: bool = False
-    blowup_step: Optional[int] = None
+    blowup: Optional[BlowUpError] = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.blowup is not None
+
+    @property
+    def blowup_step(self) -> Optional[int]:
+        return None if self.blowup is None else self.blowup.step
 
 
-def run(spec: ProblemSpec, k, beta, dt, T, observers=None, stride=1,
-        starter=None, raise_on_blowup=True) -> TrajectorySummary:
-    """Integrate to time T, recording observers every `stride` steps.
+def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
+        starter=None) -> TrajectorySummary:
+    """Integrate to time T, observing the levels 0, stride, 2*stride, ... and the last.
 
-    On blow-up the partial summary is attached to the raised BlowUpError
-    (or returned directly with `diverged=True` when raise_on_blowup=False).
+    `times` lists the observed times; with `observe`, the values of
+    `observe(u, t)` go to `values`, one per entry of `times`.  A blow-up ends
+    the run: the returned summary holds the `BlowUpError` in `blowup` and the
+    last finite level in `final_state`.
     """
     nsteps = int(round(T / dt))
     if nsteps < k:
         raise ValueError("T must cover at least k steps")
-    observers = observers or {}
-    summary = TrajectorySummary(series={name: [] for name in observers})
+    summary = TrajectorySummary()
 
-    def observe(state_arr, t):
+    def record(u, t):
         summary.times.append(t)
-        for name, fn in observers.items():
-            summary.series[name].append(fn(state_arr, t))
+        if observe is not None:
+            summary.values.append(observe(u, t))
 
     try:
         state = initialize(spec, k, beta, dt, starter=starter)
         for i, lv in enumerate(state.history):
             if i % stride == 0:
-                observe(lv, i * dt)
+                record(lv, i * dt)
         while state.n < nsteps:
             state = step(state, spec)
             if state.n % stride == 0 or state.n == nsteps:
-                observe(state.newest, state.time)
+                record(state.newest, state.time)
     except BlowUpError as exc:
-        summary.diverged = True
-        summary.blowup_step = exc.step
+        # without its traceback the error does not keep the run's frames alive
+        summary.blowup = exc.with_traceback(None)
         summary.final_state = exc.last_state
-        summary.steps = exc.step
-        exc.summary = summary
-        if raise_on_blowup:
-            raise
         return summary
     summary.final_state = state.newest
-    summary.steps = state.n
     return summary

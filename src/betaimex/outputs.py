@@ -38,8 +38,8 @@ def write_json(path, payload):
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 
 
-def write_pgm(path, mask, binary=True):
-    """Two-level portable graymap of a boolean mask (True -> 255).
+def write_pgm(path, mask):
+    """Binary (P5) two-level portable graymap of a boolean mask (True -> 255).
 
     mask is indexed [re, im]; rows of the image run top-down in decreasing
     imaginary part, columns left-right in increasing real part.
@@ -47,15 +47,9 @@ def write_pgm(path, mask, binary=True):
     image = (np.asarray(mask).T[::-1, :]).astype(np.uint8) * 255
     h, w = image.shape
     try:
-        if binary:
-            with open(path, "wb") as fh:
-                fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-                fh.write(image.tobytes())
-        else:
-            with open(path, "w") as fh:
-                fh.write(f"P2\n{w} {h}\n255\n")
-                for row in image:
-                    fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+            fh.write(image.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write PGM to {path}: {exc}") from exc
 

@@ -27,12 +27,10 @@ _EIG_CHUNK = 65536
 
 
 def characteristic_coeffs(k, beta, z):
-    """Ascending coefficients of pi(w) at the point z of the complex plane."""
-    rec = scheme_coefficients(k, beta)
-    a, b, _ = rec.arrays()
-    out = a.astype(complex)
-    out[1:] -= z * b
-    return out
+    """Ascending coefficients of pi(w) at z; an array z gives one row per point."""
+    a, b, _ = scheme_coefficients(k, beta).arrays()
+    zb = np.multiply.outer(np.asarray(z, dtype=complex), np.concatenate(([0.0], b)))
+    return np.subtract(a, zb, out=zb)  # in place: a scan chunk's rows are its largest array
 
 
 def _root_condition(roots):
@@ -106,9 +104,6 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     if not (re_lo < re_hi and im_lo < im_hi and nx > 0 and ny > 0):
         raise ValueError("window must be nonempty and resolution positive")
 
-    rec = scheme_coefficients(k, beta)
-    a, b, _ = rec.arrays()
-
     dre = (re_hi - re_lo) / nx
     dim = (im_hi - im_lo) / ny
     re = re_lo + (np.arange(nx) + 0.5) * dre
@@ -117,12 +112,8 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
 
     mask = np.zeros(z.size, dtype=bool)
     for start in range(0, z.size, _EIG_CHUNK):
-        zc = z[start:start + _EIG_CHUNK]
-        # pi coefficients: column q is a[q] - z*b[q-1] (a[0] is z-free)
-        cols = np.empty((zc.size, k), dtype=complex)
-        cols[:, 0] = a[0]
-        cols[:, 1:] = a[1:k] - zc[:, None] * b[: k - 1]
-        lead = a[k] - zc * b[k - 1]
+        coef = characteristic_coeffs(k, beta, z[start:start + _EIG_CHUNK])
+        cols, lead = coef[:, :k], coef[:, k]
 
         scale = np.abs(cols).max(axis=1)
         degenerate = np.abs(lead) <= 1e-14 * np.maximum(scale, 1.0)

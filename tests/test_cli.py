@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -115,8 +117,7 @@ def test_converge_rerun_is_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("args,config", [
     (["stability", "--k", "2", "--beta", "3", "--res", "20,20"],
-     {"k": 2, "beta": 3.0, "window": [-12.0, 4.0, -8.0, 8.0], "res": "20,20",
-      "ascii_pgm": False}),
+     {"k": 2, "beta": 3.0, "window": [-12.0, 4.0, -8.0, 8.0], "res": "20,20"}),
     (["verify", "--k", "3", "--grid", "1:2:0.5"], {"k": 3, "beta": 1.0, "grid": "1:2:0.5"}),
 ])
 def test_scan_and_verify_manifests_do_not_depend_on_out(tmp_path, capsys, args, config):
@@ -189,6 +190,15 @@ def test_cahn_hilliard_blow_up_exits_2(tmp_path, capsys):
     assert verdicts[1]["blowup_step"] > 0
 
 
+def test_cahn_hilliard_reference_blow_up_exits_1(tmp_path, capsys):
+    # at dt / 30 = 3.3e-5 the classical fourth-order reference itself blows up
+    code = cli.main(["--out", str(tmp_path), "cahn-hilliard", "--small", "--resolution",
+                     "32", "--dt", "1e-3", "--T", "2e-2", "--schemes", "[[2,1]]"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: solution blew up at step 6 (t = 0.0002)\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_schemes_accept_integral_float_order(tmp_path, capsys):
     code, _ = run_cli(["--out", str(tmp_path / "ch")] + CH_TINY +
                       ["--T", "4e-5", "--schemes", "[[4.0,2.5]]"], capsys)
@@ -232,6 +242,18 @@ def test_internal_error_exit_code(capsys):
     code = cli.main(["coeffs", "--k", "9", "--beta", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_program_prints_warnings_without_source_location(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "betaimex.cli", "--out", str(tmp_path), "stability",
+         "--k", "4", "--beta", "1", "--res", "8,8"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stderr == \
+        "warning: k=4 with beta=1: multiplier certificate requires beta >= 2\n"
 
 
 def test_empty_series_gives_header_only_csv(tmp_path):

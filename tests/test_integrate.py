@@ -136,19 +136,46 @@ def test_heat_problem_stays_bounded_across_steps():
     for dt in (1e-3, 1e-2, 1e-1, 1.0):
         spec = itg.ProblemSpec(linear_symbol=lam, nonlinear=None, source=f, u0=u0)
         s = itg.run(spec, 3, 2.0, dt, 40 * dt,
-                    observers={"sup": lambda u, t: float(np.abs(u).max())})
-        assert max(s.series["sup"]) < bound
+                    observe=lambda u, t: float(np.abs(u).max()))
+        assert max(s.values) < bound
 
 
-def test_blowup_raises_with_step_and_partial_summary():
+def test_blowup_is_returned_with_the_step_that_step_raises():
+    # u' = u^2 from u(0) = 0.5 leaves every bound near t = 2, after the starter
     spec = itg.ProblemSpec(linear_symbol=np.zeros(1),
-                           nonlinear=lambda u: -u ** 2, u0=np.array([5.0]))
+                           nonlinear=lambda u: -u ** 2, u0=np.array([0.5]))
+    s = itg.run(spec, 2, 1.0, 0.5, 25.0)
+    # the same run driven by hand: initialize + step until step raises
+    state = itg.initialize(spec, 2, 1.0, 0.5)
     with pytest.raises(itg.BlowUpError) as err:
-        itg.run(spec, 2, 1.0, 0.5, 25.0)
-    assert err.value.step >= 0
-    assert err.value.summary is not None and err.value.summary.diverged
-    s = itg.run(spec, 2, 1.0, 0.5, 25.0, raise_on_blowup=False)
-    assert s.diverged and s.blowup_step == err.value.step
+        for _ in range(50):
+            last = state.newest
+            state = itg.step(state, spec)
+    assert s.diverged and s.blowup_step == err.value.step == state.n + 1
+    assert isinstance(s.blowup, itg.BlowUpError)
+    assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
+    assert str(s.blowup) == str(err.value)
+    assert np.isfinite(last).all() and np.array_equal(s.final_state, last)
+    assert s.times[-1] < err.value.time
+    # from u(0) = 5 the starter itself blows up: initialize raises, run returns
+    spec.u0 = np.array([5.0])
+    with pytest.raises(itg.BlowUpError) as err:
+        itg.initialize(spec, 2, 1.0, 0.5)
+    s = itg.run(spec, 2, 1.0, 0.5, 25.0)
+    assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
+    assert s.final_state is None and s.times == []
+
+
+def test_run_observes_every_stride_and_the_last_level():
+    # 11 steps at stride 3: levels 0, 3, 6, 9 and the off-stride last level 11
+    spec = itg.ProblemSpec(linear_symbol=np.array([1.0]), u0=np.array([1.0]))
+    dt = 0.1
+    s = itg.run(spec, 3, 2.0, dt, 11 * dt, stride=3,
+                observe=lambda u, t: (t, float(u[0])))
+    assert s.times == [n * dt for n in (0, 3, 6, 9, 11)]
+    assert [t for t, _ in s.values] == s.times
+    assert s.values[-1][1] == s.final_state[0]
+    assert not s.diverged and s.blowup is None and s.blowup_step is None
 
 
 def test_rejects_bad_inputs():
