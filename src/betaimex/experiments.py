@@ -251,8 +251,9 @@ def ch_reference_trajectory(preset, seed, stride):
     """Fine-step classical fourth-order trajectory at every `stride`-th preset step.
 
     The fine step is dt / ref_dt_ratio.  Returns (snapshots keyed by the
-    rounded time i * dt of preset step i, sha256 checksum); a blow-up of the
-    reference run raises its `BlowUpError`.
+    rounded time i * dt of preset step i, sha256 checksum).  A blow-up of the
+    reference run raises a RuntimeError that names the reference run and its
+    step in fine steps, chained from the run's `BlowUpError`.
     """
     grid, params, L, G, u0 = _ch_problem(preset, seed)
     ratio = preset["ref_dt_ratio"]
@@ -261,8 +262,10 @@ def ch_reference_trajectory(preset, seed, stride):
     summary = itg.run(spec, 4, 1.0, dt, preset["T"],
                       observe=lambda u_hat, t: np.fft.ifft2(u_hat).real.copy(),
                       stride=ratio * stride)
-    if summary.blowup is not None:
-        raise summary.blowup
+    err = summary.blowup
+    if err is not None:
+        raise RuntimeError(f"reference run (k=4, beta=1, dt = {dt:g}) blew up at "
+                           f"reference step {err.step} (t = {err.time:g})") from err
     snapshots = {}
     for t, u in zip(summary.times, summary.values):
         n = round(t / dt)

@@ -108,7 +108,7 @@ def _imex1_history(spec, k, dt):
             if spec.source is not None:
                 rhs = rhs + spec.source(t + (j + 1) * h)
             u = rhs / denom
-            _check_finite(u, i, t + (j + 1) * h)
+            _check_finite(u, i + 1, t + (j + 1) * h)  # level i + 1 is being built
         levels.append(u)
     return levels
 

@@ -3,8 +3,9 @@
 Each function recomputes a quantity the library produces another way: the
 printed rational closed forms of the coefficients and of the Sylvester
 resultants, the certificate polynomials f_k/h_k as float polynomials, the
-same quantities rebuilt from complex exponentials on the unit circle, and a
-plain interval minimiser.
+same quantities rebuilt from complex exponentials on the unit circle, a
+plain interval minimiser, the stability scan by batched companion-matrix
+eigensolves and the boundary locus of the stability region.
 """
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import numpy as np
 from betaimex import coeffs
 from betaimex.certificates import _f_coeffs, _h_coeffs
 from betaimex.polynomials import RealPolynomial, real_critical_points
+from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
 
 F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
+_EIG_CHUNK = 65536
 
 
 def closed_form(k, beta):
@@ -136,3 +139,55 @@ def min_on_interval(p: RealPolynomial, lo: float, hi: float):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def _batched_max_root_modulus(coef_cols, lead):
+    """Max root modulus per point for stacked polynomials.
+
+    coef_cols: (npts, k) lower coefficients, lead: (npts,) leading ones.
+    Returns (rmax, roots) with roots shaped (npts, k).
+    """
+    npts, k = coef_cols.shape
+    comp = np.zeros((npts, k, k), dtype=complex)
+    idx = np.arange(1, k)
+    comp[:, idx, idx - 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp[:, :, -1] = -coef_cols / lead[:, None]
+    roots = np.linalg.eigvals(comp)
+    rmax = np.abs(roots).max(axis=1)
+    return rmax, roots
+
+
+def eig_scan_mask(k, beta, window, resolution):
+    """`scan_region`'s mask from the eigenvalues of each point's companion matrix."""
+    re_lo, re_hi, im_lo, im_hi = (float(v) for v in window)
+    nx, ny = (int(v) for v in resolution)
+    dre = (re_hi - re_lo) / nx
+    dim = (im_hi - im_lo) / ny
+    re = re_lo + (np.arange(nx) + 0.5) * dre
+    im = im_lo + (np.arange(ny) + 0.5) * dim
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+
+    mask = np.zeros(z.size, dtype=bool)
+    for start in range(0, z.size, _EIG_CHUNK):
+        coef = characteristic_coeffs(k, beta, z[start:start + _EIG_CHUNK])
+        cols, lead = coef[:, :k], coef[:, k]
+
+        scale = np.abs(cols).max(axis=1)
+        degenerate = np.abs(lead) <= 1e-14 * np.maximum(scale, 1.0)
+        rmax, roots = _batched_max_root_modulus(cols, lead)
+        rmax[degenerate] = np.inf
+
+        stable = rmax <= 1.0 - ROOT_TOL
+        borderline = ~stable & (rmax <= 1.0 + ROOT_TOL)
+        for i in np.nonzero(borderline)[0]:
+            stable[i] = _root_condition(roots[i])
+        mask[start:start + _EIG_CHUNK] = stable
+    return mask.reshape(nx, ny)
+
+
+def boundary_locus(k, beta, theta):
+    """z(w) = a(w) / (w b(w)) at w = exp(i theta): where pi has a root on the circle."""
+    a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
+    w = np.exp(1j * np.asarray(theta))
+    return np.polyval(a[::-1], w) / (w * np.polyval(b[::-1], w))

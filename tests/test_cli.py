@@ -195,7 +195,8 @@ def test_cahn_hilliard_reference_blow_up_exits_1(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "cahn-hilliard", "--small", "--resolution",
                      "32", "--dt", "1e-3", "--T", "2e-2", "--schemes", "[[2,1]]"])
     assert code == 1
-    assert capsys.readouterr().err == "error: solution blew up at step 6 (t = 0.0002)\n"
+    assert capsys.readouterr().err == ("error: reference run (k=4, beta=1, dt = 3.33333e-05) "
+                                       "blew up at reference step 6 (t = 0.0002)\n")
     assert not any(tmp_path.iterdir())
 
 

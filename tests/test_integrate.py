@@ -163,6 +163,7 @@ def test_blowup_is_returned_with_the_step_that_step_raises():
         itg.initialize(spec, 2, 1.0, 0.5)
     s = itg.run(spec, 2, 1.0, 0.5, 25.0)
     assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
+    assert s.blowup.step == 1 and 0.0 < s.blowup.time <= 0.5  # while building level 1
     assert s.final_state is None and s.times == []
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaimex import coeffs
 from betaimex.stability import (DEFAULT_WINDOW, characteristic_coeffs,
                                 is_stable, scan_region)
+from oracles import boundary_locus, eig_scan_mask
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -98,6 +101,50 @@ def test_scan_mask_matches_is_stable_at_every_cell_centre(k, beta):
     want = np.array([[is_stable(k, beta, complex(x, y)) for y in im] for x in re])
     assert grid.mask.shape == want.shape
     assert np.array_equal(grid.mask, want)
+
+
+GALLERY_CASES = [(k, beta) for k in (2, 3, 4) for beta in (1.0, 3.0, 5.0)]
+
+
+@pytest.mark.parametrize("k,beta", GALLERY_CASES + [(5, 1.0), (5, 7.0)])
+def test_scan_mask_equals_the_eigensolve_route_bit_for_bit(k, beta):
+    grid = scan_region(k, beta, resolution=(200, 200))
+    assert np.array_equal(grid.mask, eig_scan_mask(k, beta, DEFAULT_WINDOW, (200, 200)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 5), beta=st.floats(1.0, 10.0),
+       theta=st.floats(0.0, 2 * np.pi), log_offset=st.floats(-9.0, -3.0),
+       direction=st.floats(0.0, 2 * np.pi))
+def test_scan_verdict_matches_is_stable_near_the_boundary(k, beta, theta, log_offset,
+                                                          direction):
+    z = complex(boundary_locus(k, beta, theta)) + 10.0 ** log_offset * np.exp(1j * direction)
+    half = 1e-3
+    grid = scan_region(k, beta, window=(z.real - half, z.real + half,
+                                        z.imag - half, z.imag + half), resolution=(1, 1))
+    centre = complex(grid.re_lo + 0.5 * (grid.re_hi - grid.re_lo),
+                     grid.im_lo + 0.5 * (grid.im_hi - grid.im_lo))
+    assert grid.mask[0, 0] == is_stable(k, beta, centre)
+
+
+# the boundary locus of these cases is a simple closed curve around the unstable
+# set; at (3, 1) and (4, 1) it self-intersects
+SIMPLE_LOCUS_CASES = [(2, 1.0), (2, 3.0), (2, 5.0), (3, 3.0), (3, 5.0), (4, 3.0), (4, 5.0)]
+
+
+@pytest.mark.parametrize("k,beta", SIMPLE_LOCUS_CASES)
+def test_unstable_area_matches_the_boundary_locus(k, beta):
+    grid = scan_region(k, beta)
+    z = boundary_locus(k, beta, np.linspace(0.0, 2 * np.pi, 20_001))
+    re_lo, re_hi, im_lo, im_hi = grid.window
+    # the whole unstable set lies in the window; the (2, 1) locus touches re = 4
+    assert re_lo <= z.real.min() and z.real.max() <= re_hi + 1e-12
+    assert im_lo <= z.imag.min() and z.imag.max() <= im_hi
+    shoelace = 0.5 * abs(np.sum(z.real[:-1] * z.imag[1:] - z.real[1:] * z.imag[:-1]))
+    perimeter = np.abs(np.diff(z)).sum()
+    cell = max((re_hi - re_lo) / grid.nx, (im_hi - im_lo) / grid.ny)
+    window_area = (re_hi - re_lo) * (im_hi - im_lo)
+    assert abs(window_area - grid.area - shoelace) <= perimeter * cell
 
 
 def test_scan_rejects_empty_window():
