@@ -93,25 +93,24 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     params = sp.MANUFACTURED_PARAMS
     L = sp.linear_symbol(params, grid)
     G = sp.nonlinear_fourier(params, grid)
+    source = sp.manufactured_source_fourier(grid)
     T = config.T or 1.0
     dts = config.dt_sweep or CONVERGENCE_DT_SWEEP
     if len(dts) < 4:
         raise ValueError("slope fit needs at least 4 dt values")
 
     def exact_state(t):
-        return np.fft.fft2(sp.manufactured_solution(grid, t))
+        return np.fft.rfft2(sp.manufactured_solution(grid, t))
 
     errors = []
     for dt in dts:
-        spec = itg.ProblemSpec(
-            linear_symbol=L, nonlinear=G,
-            source=lambda t: np.fft.fft2(sp.manufactured_source(grid, t)),
-            u0=exact_state(0.0))
+        spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, source=source,
+                               u0=exact_state(0.0))
         summary = itg.run(spec, config.k, config.beta, dt, T, starter=exact_state)
         if summary.diverged:
             errors.append(float("inf"))
             continue
-        u = np.fft.ifft2(summary.final_state).real
+        u = np.fft.irfft2(summary.final_state, s=grid.shape)
         diff = u - sp.manufactured_solution(grid, T)
         errors.append(math.sqrt(float((diff ** 2).sum()) * grid.cell_area))
     finite = [(d, e) for d, e in zip(dts, errors) if math.isfinite(e)]
@@ -179,16 +178,17 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     L = sp.linear_symbol(AC_PARAMS, grid)
     G = sp.nonlinear_fourier(AC_PARAMS, grid)
     spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G,
-                           u0=np.fft.fft2(ac_initial_profile(grid)))
+                           u0=np.fft.rfft2(ac_initial_profile(grid)))
 
     def radius_obs(u_hat, t):
-        return sp.radius_of_circle(grid, np.fft.ifft2(u_hat).real) * AC_MAP_SCALE
+        return sp.radius_of_circle(grid, np.fft.irfft2(u_hat, s=grid.shape)) * AC_MAP_SCALE
 
     stride = max(1, int(round(T / dt)) // 100)
     summary = itg.run(spec, config.k, config.beta, dt, T, observe=radius_obs,
                       stride=stride)
     times = tuple(summary.times)
-    final = None if summary.final_state is None else np.fft.ifft2(summary.final_state).real
+    final = (None if summary.final_state is None
+             else np.fft.irfft2(summary.final_state, s=grid.shape))
     return RadiusReport(k=config.k, beta=config.beta, dt=dt, times=times,
                         radius=tuple(summary.values),
                         radius_theory=tuple(theory_radius(t) for t in times),
@@ -258,9 +258,9 @@ def ch_reference_trajectory(preset, seed, stride):
     grid, params, L, G, u0 = _ch_problem(preset, seed)
     ratio = preset["ref_dt_ratio"]
     dt = preset["dt"] / ratio
-    spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
+    spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.rfft2(u0))
     summary = itg.run(spec, 4, 1.0, dt, preset["T"],
-                      observe=lambda u_hat, t: np.fft.ifft2(u_hat).real.copy(),
+                      observe=lambda u_hat, t: np.fft.irfft2(u_hat, s=grid.shape),
                       stride=ratio * stride)
     err = summary.blowup
     if err is not None:
@@ -301,11 +301,11 @@ def run_cahn_hilliard(config: ExperimentConfig,
     report = CahnHilliardReport(preset=preset, seed=config.seed,
                                 reference_checksum=checksum)
     for k, beta in schemes:
-        spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.fft2(u0))
+        spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.rfft2(u0))
 
         def observe(u_hat, t):
             # energy and distance to the reference snapshot from one inverse FFT
-            u = np.fft.ifft2(u_hat).real
+            u = np.fft.irfft2(u_hat, s=grid.shape)
             ref = reference.get(round(t, 12))
             dist = (float("nan") if ref is None
                     else math.sqrt(float(((u - ref) ** 2).sum()) * grid.cell_area))
@@ -313,7 +313,8 @@ def run_cahn_hilliard(config: ExperimentConfig,
 
         summary = itg.run(spec, k, beta, dt, preset["T"], observe=observe,
                           stride=stride)
-        final = None if summary.final_state is None else np.fft.ifft2(summary.final_state).real
+        final = (None if summary.final_state is None
+                 else np.fft.irfft2(summary.final_state, s=grid.shape))
         report.verdicts.append(SchemeVerdict(
             k=k, beta=beta, stable=not summary.diverged,
             blowup_step=summary.blowup_step, times=tuple(summary.times),

@@ -9,8 +9,13 @@ One step solves
         - L sum_{q<k-1} b[q] u^{n+2-k+q}
         - G(sum_{q<k-1+1} c[q] u^{n+1-k+q})
 
-which is a per-mode division.  k = 1 (classical backward-Euler IMEX) is
+which is a per-mode solve.  k = 1 (classical backward-Euler IMEX) is
 supported as the baseline scheme; orders 2..5 come from `coeffs`.
+
+`initialize` builds a `StepPlan` once per run: the float weights -a[q]/dt,
+-b[q] and c[q] and the inverse 1/(a[k]/dt + b[k-1] L).  `step` then sums each
+weighted history combination in place, multiplies by L once (on the b-sum)
+and by the inverse once, and checks the new level with one max |u| pass.
 
 The zero mode of a periodic Laplacian gives L = 0 for the mean; the solve
 divides by a[k]/dt > 0 there, so semidefinite symbols are accepted.
@@ -60,6 +65,28 @@ class ProblemSpec:
             raise ValueError("linear symbol must be nonnegative (L positive semidefinite)")
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """What `step` needs of one scheme at one dt and symbol, computed once.
+
+    The weights carry the sign with which they enter the right-hand side:
+    a = -a[q]/dt and b = -b[q]; `inverse` is 1/(a[k]/dt + b[k-1] L).
+    """
+
+    a: tuple
+    b: tuple
+    c: tuple
+    inverse: np.ndarray
+
+
+def _step_plan(rec: SchemeCoefficients, dt, symbol) -> StepPlan:
+    k = rec.k
+    return StepPlan(a=tuple(-float(w) / dt for w in rec.a[:k]),
+                    b=tuple(-float(w) for w in rec.b[:k - 1]),
+                    c=tuple(float(w) for w in rec.c[:k]),
+                    inverse=1.0 / (float(rec.a[k]) / dt + float(rec.b[k - 1]) * symbol))
+
+
 @dataclass
 class IntegratorState:
     """Ring buffer of the k most recent levels (oldest first) plus step metadata."""
@@ -68,6 +95,7 @@ class IntegratorState:
     n: int
     dt: float
     coefficients: SchemeCoefficients
+    plan: StepPlan
 
     @property
     def newest(self):
@@ -87,7 +115,8 @@ def _resolve_coefficients(k, beta) -> SchemeCoefficients:
 
 
 def _check_finite(u, step, t):
-    if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
+    # a NaN maximum fails the comparison too
+    if not np.max(np.abs(u)) <= BLOWUP_LIMIT:
         raise BlowUpError(step, t, None)
 
 
@@ -98,23 +127,24 @@ def _imex1_history(spec, k, dt):
     levels = [np.array(spec.u0, copy=True)]
     u = levels[0]
     h = dt / STARTER_SUBSTEPS
-    denom = 1.0 / h + spec.linear_symbol
+    inverse = 1.0 / (1.0 / h + spec.linear_symbol)
     for i in range(k - 1):
         t = i * dt
         for j in range(STARTER_SUBSTEPS):
             rhs = u / h
             if spec.nonlinear is not None:
-                rhs = rhs - spec.nonlinear(u)
+                rhs -= spec.nonlinear(u)
             if spec.source is not None:
-                rhs = rhs + spec.source(t + (j + 1) * h)
-            u = rhs / denom
+                rhs += spec.source(t + (j + 1) * h)
+            rhs *= inverse
+            u = rhs
             _check_finite(u, i + 1, t + (j + 1) * h)  # level i + 1 is being built
         levels.append(u)
     return levels
 
 
 def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
-    """Fill the k-level history.
+    """Fill the k-level history and build the step plan.
 
     starter: None for the default start, `STARTER_SUBSTEPS` backward-Euler
     IMEX substeps per dt from `spec.u0` (implicit in L, so any nonnegative
@@ -141,40 +171,48 @@ def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     if denom_min <= 0:
         raise ValueError("implicit solve is not positive definite "
                          f"(a_k/dt + b_(k-1)*lambda_min = {denom_min:g})")
-    return IntegratorState(history=tuple(levels), n=k - 1, dt=dt, coefficients=rec)
+    return IntegratorState(history=tuple(levels), n=k - 1, dt=dt, coefficients=rec,
+                           plan=_step_plan(rec, dt, spec.linear_symbol))
+
+
+def _combine(weights, levels):
+    """sum_q weights[q] * levels[q], accumulated in place."""
+    acc = levels[0] * weights[0]
+    if len(weights) > 1:
+        term = np.empty_like(acc)
+        for w, u in zip(weights[1:], levels[1:]):
+            np.multiply(u, w, out=term)
+            acc += term
+    return acc
 
 
 def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
-    """Advance one level; returns a new state (history rotated)."""
-    rec = state.coefficients
-    k = rec.k
-    a = rec.a
-    b = rec.b
-    c = rec.c
-    dt = state.dt
+    """Advance one level; returns a new state (history rotated).
+
+    `spec` must be the problem the state was initialised with: the plan's
+    inverse holds its linear symbol.
+    """
+    plan = state.plan
     hist = state.history
+    dt = state.dt
 
-    rhs = np.zeros_like(hist[-1] + 0.0)
-    for q in range(k):
-        rhs -= (float(a[q]) / dt) * hist[q]
-    L = spec.linear_symbol
-    for q in range(k - 1):
-        rhs -= float(b[q]) * (L * hist[q + 1])
+    rhs = _combine(plan.a, hist)
+    if plan.b:
+        lin = _combine(plan.b, hist[1:])
+        lin *= spec.linear_symbol
+        rhs += lin
     if spec.nonlinear is not None:
-        mix = sum(float(c[q]) * hist[q] for q in range(k))
-        rhs -= spec.nonlinear(mix)
+        rhs -= spec.nonlinear(_combine(plan.c, hist))
     if spec.source is not None:
-        rhs += spec.source((state.n + float(rec.beta)) * dt)
-
-    denom = float(a[k]) / dt + float(b[k - 1]) * L
-    new = rhs / denom
+        rhs += spec.source((state.n + float(state.coefficients.beta)) * dt)
+    rhs *= plan.inverse
     try:
-        _check_finite(new, state.n + 1, (state.n + 1) * dt)
+        _check_finite(rhs, state.n + 1, (state.n + 1) * dt)
     except BlowUpError as exc:
         exc.last_state = hist[-1]
         raise
-    return IntegratorState(history=hist[1:] + (new,), n=state.n + 1,
-                           dt=dt, coefficients=rec)
+    return IntegratorState(history=hist[1:] + (rhs,), n=state.n + 1, dt=dt,
+                           coefficients=state.coefficients, plan=plan)
 
 
 @dataclass

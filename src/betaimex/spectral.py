@@ -10,7 +10,11 @@ splitting u_t + L u + G[u] = f used by the stepper,
     L      = m (-lap)^(alpha+1)            (diagonal symbol m |xi|^(2alpha+2)),
     G[u]   = -m (-lap)^alpha [ u(1-u^2)/eps^2 ].
 
-Fields are nx-by-ny real arrays on a uniform grid, without dealiasing.
+Fields are nx-by-ny real arrays on a uniform grid, without dealiasing.  The
+stepper's states are their `np.fft.rfft2` half-spectra, nx-by-(ny//2 + 1)
+complex arrays over the nonnegative y wavenumbers; `np.fft.irfft2(u_hat,
+s=grid.shape)` brings one back.  `Grid2D.KX`, `KY` and `K2`, and with them the
+linear symbol, use the same half-spectrum layout.
 """
 from __future__ import annotations
 
@@ -34,7 +38,11 @@ class PhaseFieldParams:
 
 
 class Grid2D:
-    """Uniform periodic grid on [x0, x0+Lx) x [y0, y0+Ly); nx, ny even."""
+    """Uniform periodic grid on [x0, x0+Lx) x [y0, y0+Ly); nx, ny even.
+
+    X, Y are the (nx, ny) sample points; KX, KY, K2 the wavenumbers of the
+    (nx, ny//2 + 1) rfft2 half-spectrum.
+    """
 
     def __init__(self, nx, ny, Lx, Ly, x0=0.0, y0=0.0):
         if nx % 2 or ny % 2:
@@ -46,9 +54,10 @@ class Grid2D:
         self.dy = self.Ly / ny
         x = self.x0 + self.dx * np.arange(nx)
         y = self.y0 + self.dy * np.arange(ny)
+        self.shape = (nx, ny)
         self.X, self.Y = np.meshgrid(x, y, indexing="ij")
         kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=self.dx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=self.dy)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(ny, d=self.dy)
         self.KX, self.KY = np.meshgrid(kx, ky, indexing="ij")
         self.K2 = self.KX ** 2 + self.KY ** 2
 
@@ -62,59 +71,70 @@ def linear_symbol(params: PhaseFieldParams, grid: Grid2D) -> np.ndarray:
 
 
 def _double_well_slope(params, u):
-    return (u * (1.0 - u * u)) / params.eps ** 2
+    """u(1 - u^2)/eps^2, evaluated in one new array."""
+    w = u * u
+    np.subtract(1.0, w, out=w)
+    w *= u
+    w /= params.eps ** 2
+    return w
 
 
 def nonlinear_fourier(params: PhaseFieldParams, grid: Grid2D):
-    """Fourier-space closure for the stepper: u_hat -> G[u]_hat."""
+    """Half-spectrum closure for the stepper: u_hat -> G[u]_hat."""
     mult = -params.mobility * (grid.K2 if params.alpha == 1 else 1.0)
 
     def gee(u_hat):
-        u = np.fft.ifft2(u_hat).real
-        hat = np.fft.fft2(_double_well_slope(params, u))
-        return mult * hat
+        u = np.fft.irfft2(u_hat, s=grid.shape)
+        hat = np.fft.rfft2(_double_well_slope(params, u))
+        hat *= mult
+        return hat
 
     return gee
 
 
 def free_energy(params: PhaseFieldParams, grid: Grid2D, values: np.ndarray) -> float:
-    """Spectral gradient energy plus grid quadrature of the double well."""
-    hat = np.fft.fft2(values)
-    ux = np.fft.ifft2(1j * grid.KX * hat).real
-    uy = np.fft.ifft2(1j * grid.KY * hat).real
-    grad = 0.5 * (ux ** 2 + uy ** 2)
-    well = (1.0 - values ** 2) ** 2 / (4.0 * params.eps ** 2)
-    return float((grad + well).sum() * grid.cell_area)
+    """Spectral gradient energy plus grid quadrature of the double well.
+
+    The gradient term comes from the half-spectrum by Parseval: columns
+    0 < ky < ny/2 stand for themselves and their conjugate partners (weight
+    2), columns 0 and ny/2 only for themselves (weight 1).  The derivative of
+    a Nyquist mode has no real-valued counterpart, so the Nyquist wavenumbers
+    of each direction count as zero.
+    """
+    nx, ny = grid.shape
+    hat = np.fft.rfft2(values)
+    kx2 = grid.KX[:, :1] ** 2
+    ky2 = grid.KY[:1, :] ** 2
+    kx2[nx // 2] = 0.0
+    ky2[:, ny // 2] = 0.0
+    weight = np.full(ky2.shape, 2.0)
+    weight[:, [0, ny // 2]] = 1.0
+    grad = 0.5 * float(((kx2 + ky2) * weight * np.abs(hat) ** 2).sum()) / (nx * ny)
+    well = float(((1.0 - values ** 2) ** 2).sum()) / (4.0 * params.eps ** 2)
+    return (grad + well) * grid.cell_area
 
 
 def radius_of_circle(grid: Grid2D, values: np.ndarray) -> float:
     """Radius sqrt(area / pi) of the super-level set {values > 0}.
 
-    The area comes from row-wise scans with linear interpolation of the
-    crossing positions between adjacent samples (periodic in x).
+    The area counts the positive samples along each line in x and moves
+    each sign change between neighbours (periodic in x) to the crossing of
+    the linear interpolant.
     """
     pos = values > 0.0
-    frac_pos = pos.mean()
-    if frac_pos == 0.0:
+    count = np.count_nonzero(pos)
+    if count == 0:
         raise ValueError("level set is empty: no interface to measure")
-    if frac_pos > 0.95:
+    if count / pos.size > 0.95:
         raise ValueError("level set covers more than 95% of the domain")
-    area = 0.0
-    dx = grid.dx
-    for j in range(grid.ny):
-        row = values[:, j]
-        nxt = np.roll(row, -1)
-        length = dx * float(np.count_nonzero(row > 0.0))
-        # linear-interpolation correction at each sign change
-        change = (row > 0.0) != (nxt > 0.0)
-        for i in np.nonzero(change)[0]:
-            a, b = row[i], nxt[i]
-            frac = a / (a - b)  # crossing offset from sample i, in cells
-            if a > 0.0:
-                length += dx * (frac - 1.0)  # interval shorter than full cell
-            else:
-                length += dx * (1.0 - frac)
-        area += length * grid.dy
+    nxt = np.roll(values, -1, axis=0)
+    change = pos != (nxt > 0.0)
+    a, b = values[change], nxt[change]
+    frac = a / (a - b)  # crossing offset from sample i, in cells
+    # a positive sample loses the part of its cell beyond the crossing,
+    # a negative one gains the part up to it
+    shift = np.where(a > 0.0, frac - 1.0, 1.0 - frac).sum()
+    area = grid.dx * (count + shift) * grid.dy
     return math.sqrt(area / math.pi)
 
 
@@ -130,14 +150,28 @@ def manufactured_solution(grid: Grid2D, t: float) -> np.ndarray:
     return np.exp(s) * math.sin(t)
 
 
-def manufactured_source(grid: Grid2D, t: float) -> np.ndarray:
-    """f = u_t + L u + G[u] for the manufactured profile, analytically on the grid."""
+def manufactured_source_fourier(grid: Grid2D):
+    """Half-spectrum closure t -> f_hat(t) of f = u_t + L u + G[u] for the manufactured profile.
+
+    With s = sin(pi x) sin(pi y) and u = exp(s) sin t,
+
+        f = cos t * e^s + sin t * e^s (m (2 pi^2 s - |grad s|^2) - m/eps^2)
+            + sin^3 t * (m/eps^2) e^(3s),
+
+    so the transforms of the three profiles, taken once, give f_hat at every t.
+    """
     pi = np.pi
     s = np.sin(pi * grid.X) * np.sin(pi * grid.Y)
     sx = pi * np.cos(pi * grid.X) * np.sin(pi * grid.Y)
     sy = pi * np.sin(pi * grid.X) * np.cos(pi * grid.Y)
     es = np.exp(s)
-    u = es * math.sin(t)
-    lap = es * math.sin(t) * (-2.0 * pi ** 2 * s + sx ** 2 + sy ** 2)
     m, eps2 = MANUFACTURED_PARAMS.mobility, MANUFACTURED_PARAMS.eps ** 2
-    return es * math.cos(t) - m * lap - (m / eps2) * u * (1.0 - u * u)
+    profiles = (es,
+                es * (m * (2.0 * pi ** 2 * s - sx ** 2 - sy ** 2) - m / eps2),
+                (m / eps2) * es ** 3)
+    f1, f2, f3 = (np.fft.rfft2(p) for p in profiles)
+
+    def source(t):
+        return math.cos(t) * f1 + math.sin(t) * f2 + math.sin(t) ** 3 * f3
+
+    return source

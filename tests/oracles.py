@@ -5,15 +5,21 @@ printed rational closed forms of the coefficients and of the Sylvester
 resultants, the certificate polynomials f_k/h_k as float polynomials, the
 same quantities rebuilt from complex exponentials on the unit circle, a
 plain interval minimiser, the stability scan by batched companion-matrix
-eigensolves and the boundary locus of the stability region.
+eigensolves, the boundary locus of the stability region, the stepper's
+arithmetic rebuilt from the raw coefficients on every call, the interface
+radius by a row loop, the free energy from physical-space derivatives and
+the manufactured source evaluated on the grid.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from betaimex import coeffs
+from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
+from betaimex.spectral import MANUFACTURED_PARAMS
 from betaimex.certificates import _f_coeffs, _h_coeffs
 from betaimex.polynomials import RealPolynomial, real_critical_points
 from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
@@ -191,3 +197,89 @@ def boundary_locus(k, beta, theta):
     a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
     w = np.exp(1j * np.asarray(theta))
     return np.polyval(a[::-1], w) / (w * np.polyval(b[::-1], w))
+
+
+def reference_step(state, spec):
+    """The new level of one `integrate.step`, from the raw coefficients.
+
+    Rebuilds the weights, L * u for every history level and the denominator
+    on every call, and checks the level with `isfinite` and max |u|.
+    """
+    rec = state.coefficients
+    k = rec.k
+    a = rec.a
+    b = rec.b
+    c = rec.c
+    dt = state.dt
+    hist = state.history
+
+    rhs = np.zeros_like(hist[-1] + 0.0)
+    for q in range(k):
+        rhs -= (float(a[q]) / dt) * hist[q]
+    L = spec.linear_symbol
+    for q in range(k - 1):
+        rhs -= float(b[q]) * (L * hist[q + 1])
+    if spec.nonlinear is not None:
+        mix = sum(float(c[q]) * hist[q] for q in range(k))
+        rhs -= spec.nonlinear(mix)
+    if spec.source is not None:
+        rhs += spec.source((state.n + float(rec.beta)) * dt)
+
+    denom = float(a[k]) / dt + float(b[k - 1]) * L
+    new = rhs / denom
+    if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
+        raise BlowUpError(state.n + 1, (state.n + 1) * dt, hist[-1])
+    return new
+
+
+def radius_of_circle(grid, values):
+    """`spectral.radius_of_circle` by a loop over the x-lines and their sign changes."""
+    pos = values > 0.0
+    frac_pos = pos.mean()
+    if frac_pos == 0.0:
+        raise ValueError("level set is empty: no interface to measure")
+    if frac_pos > 0.95:
+        raise ValueError("level set covers more than 95% of the domain")
+    area = 0.0
+    dx = grid.dx
+    for j in range(grid.ny):
+        row = values[:, j]
+        nxt = np.roll(row, -1)
+        length = dx * float(np.count_nonzero(row > 0.0))
+        # linear-interpolation correction at each sign change
+        change = (row > 0.0) != (nxt > 0.0)
+        for i in np.nonzero(change)[0]:
+            a, b = row[i], nxt[i]
+            frac = a / (a - b)  # crossing offset from sample i, in cells
+            if a > 0.0:
+                length += dx * (frac - 1.0)  # interval shorter than full cell
+            else:
+                length += dx * (1.0 - frac)
+        area += length * grid.dy
+    return math.sqrt(area / math.pi)
+
+
+def free_energy(params, grid, values):
+    """`spectral.free_energy` with the gradient taken by full-spectrum FFTs in physical space."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    KX, KY = np.meshgrid(kx, ky, indexing="ij")
+    hat = np.fft.fft2(values)
+    ux = np.fft.ifft2(1j * KX * hat).real
+    uy = np.fft.ifft2(1j * KY * hat).real
+    grad = 0.5 * (ux ** 2 + uy ** 2)
+    well = (1.0 - values ** 2) ** 2 / (4.0 * params.eps ** 2)
+    return float((grad + well).sum() * grid.cell_area)
+
+
+def manufactured_source(grid, t):
+    """f = u_t + L u + G[u] for the manufactured profile, analytically on the grid."""
+    pi = np.pi
+    s = np.sin(pi * grid.X) * np.sin(pi * grid.Y)
+    sx = pi * np.cos(pi * grid.X) * np.sin(pi * grid.Y)
+    sy = pi * np.sin(pi * grid.X) * np.cos(pi * grid.Y)
+    es = np.exp(s)
+    u = es * math.sin(t)
+    lap = es * math.sin(t) * (-2.0 * pi ** 2 * s + sx ** 2 + sy ** 2)
+    m, eps2 = MANUFACTURED_PARAMS.mobility, MANUFACTURED_PARAMS.eps ** 2
+    return es * math.cos(t) - m * lap - (m / eps2) * u * (1.0 - u * u)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from betaimex import integrate as itg
+from betaimex import spectral as sp
 from betaimex.coeffs import scheme_coefficients
+from oracles import reference_step
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -205,3 +207,52 @@ def test_first_order_baseline_is_backward_euler_imex():
     assert state.newest[0] == pytest.approx(1.0 / (1.0 + 0.1 * lam), rel=1e-14)
     with pytest.raises(ValueError):
         itg.initialize(spec, 1, 2.0, 0.1)
+
+
+_ORDERS = [(1, 1.0), (2, 3.0), (3, 2.0), (4, 2.5), (5, 7.0)]
+
+
+def _real_vector_problem():
+    lam = np.array([0.0, 0.5, 3.0, 40.0, 900.0])
+    spec = itg.ProblemSpec(linear_symbol=lam, nonlinear=lambda u: 0.3 * u ** 3 - u,
+                           source=lambda t: np.array([1.0, -2.0, 0.5, 3.0, 0.1]) * math.cos(t),
+                           u0=np.zeros(5))
+    phase = np.array([0.1, 0.7, 1.3, 2.9, 4.4])
+    return spec, lambda t: np.cos(t + phase), 0.05
+
+
+def _half_spectrum_problem():
+    grid = sp.Grid2D(16, 16, *sp.MANUFACTURED_DOMAIN)
+    params = sp.MANUFACTURED_PARAMS
+    spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(params, grid),
+                           nonlinear=sp.nonlinear_fourier(params, grid),
+                           source=sp.manufactured_source_fourier(grid), u0=np.zeros((16, 9)))
+    return spec, lambda t: np.fft.rfft2(sp.manufactured_solution(grid, t)), 0.01
+
+
+@pytest.mark.parametrize("problem", [_real_vector_problem, _half_spectrum_problem])
+@pytest.mark.parametrize("k,beta", _ORDERS)
+def test_planned_step_matches_reference_step(problem, k, beta):
+    spec, exact, dt = problem()
+    state = itg.initialize(spec, k, beta, dt, starter=exact)
+    for _ in range(4):
+        want = reference_step(state, spec)
+        state = itg.step(state, spec)
+        assert state.newest.dtype == want.dtype
+        assert np.abs(state.newest - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.1e10, 0.9e10])
+def test_finiteness_check_catches_nan_inf_and_the_limit(value):
+    # k = 1 with L = 0 and dt = 1 makes u^(n+1) = u^n + f(n + 1) exactly, so
+    # the source puts `value` into the level of step 3 and keeps it there
+    spec = itg.ProblemSpec(linear_symbol=np.zeros(3),
+                           source=lambda t: np.array([0.0, value if t == 3.0 else 0.0, 0.0]),
+                           u0=np.zeros(3))
+    s = itg.run(spec, 1, 1.0, 1.0, 6.0, observe=lambda u, t: float(u[1]))
+    if value == 0.9e10:
+        assert not s.diverged and s.final_state[1] == value
+        return
+    assert isinstance(s.blowup, itg.BlowUpError)
+    assert s.blowup_step == 3 and s.blowup.time == 3.0
+    assert s.times == [0.0, 1.0, 2.0] and s.final_state[1] == 0.0
