@@ -9,7 +9,7 @@ from .certificates import (CertificateReport, classical_condition,
                            verify_k5_range)
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
                         TrajectorySummary, initialize, run, step)
-from .polynomials import RealPolynomial, roots, sylvester_resultant
+from .polynomials import roots, sylvester_resultant
 from .stability import StabilityGrid, characteristic_coeffs, is_stable, scan_region
 from .telescoping import (TelescopingCertificate, telescoping_coefficients,
                           telescoping_identity_check)
@@ -17,7 +17,7 @@ from .telescoping import (TelescopingCertificate, telescoping_coefficients,
 __all__ = [
     "__version__",
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
-    "RealPolynomial", "SchemeCoefficients", "StabilityGrid",
+    "SchemeCoefficients", "StabilityGrid",
     "TelescopingCertificate", "TrajectorySummary",
     "characteristic_coeffs", "classical_condition", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",

@@ -14,7 +14,7 @@ The certificate has four ingredients, all checked numerically here:
 f_k and h_k are evaluated from their rational closed forms; the interval
 minima are taken over exact rational re-evaluations at the (float) critical
 points, because the raw double-precision values of these polynomials lose
-several digits to cancellation once beta is large.
+several digits to cancellation once beta is large.  Resultants are exact too.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import coeffs
-from .polynomials import (RealPolynomial, real_critical_points, roots,
-                          sylvester_resultant)
+from .polynomials import horner, real_critical_points, roots, sylvester_resultant
 
 # smallest admissible multiplier shifts of the classical schemes
 ETA_TILDE = {2: 0.0, 3: 0.0836, 4: 0.2878}
@@ -76,22 +75,14 @@ def _h_coeffs(k, B):
     raise coeffs.OrderError(f"no certificate polynomial for k={k}")
 
 
-def _exact_horner(frac_coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(frac_coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _certified_min(coeff_fn, k, beta):
     """Minimum over [-1, 1]: float critical points, exact rational values."""
-    float_coeffs = [float(c) for c in coeff_fn(k, float(beta))]
-    p = RealPolynomial.from_coeffs(float_coeffs)
-    candidates = [-1.0, 1.0] + [x for x in real_critical_points(p) if -1.0 < x < 1.0]
+    critical = real_critical_points(coeff_fn(k, float(beta)))
+    candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
     exact_coeffs = [Fraction(c) for c in coeff_fn(k, Fraction(beta))]
     best_x, best_v = None, None
     for x in sorted(candidates):
-        v = _exact_horner(exact_coeffs, Fraction(x))
+        v = horner(exact_coeffs, Fraction(x))
         if best_v is None or v < best_v:
             best_x, best_v = x, v
     return best_x, float(best_v)
@@ -126,12 +117,11 @@ class CertificateReport:
 def _build_report(k, beta):
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
     rec = coeffs._build(k, beta_exact)
-    # exact determinants: the float path loses too many digits to the massive
-    # cancellation inside these matrices once beta is large
+    # exact resultants: float arithmetic loses too many digits to the massive
+    # cancellation in them once beta is large
     res_ac = float(sylvester_resultant(rec.a, rec.c))
     res_dc = float(sylvester_resultant(rec.d, rec.c))
-    c_float = RealPolynomial.from_coeffs([float(x) for x in rec.c])
-    rmax = float(np.abs(roots(c_float)).max())
+    rmax = float(np.abs(roots(rec.c)).max())
     xf, min_f = _certified_min(_f_coeffs, k, beta_exact)
     xh, min_h = _certified_min(_h_coeffs, k, beta_exact)
     passed = (res_ac != 0.0 and res_dc != 0.0 and rmax < 1.0

@@ -216,7 +216,7 @@ def cmd_experiment(args):
         write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
         if rep.final_values is not None:
             write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
-                                 rep.final_values, rep.times[-1] if rep.times else 0.0)
+                                 rep.final_values, rep.final_time)
         entries.append(rep.as_dict())
         diverged |= rep.diverged
         print(line(rep))
@@ -289,9 +289,14 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        ns = argparse.Namespace(**{**vars(args), **{k: v for k, v in loaded.items()
-                                                    if k in vars(args)}})
-        args = parser.parse_args(argv, namespace=ns)
+        # as defaults, so explicit flags win; a subcommand's own defaults
+        # would overwrite anything preloaded into the namespace
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for p in (parser, subparsers.choices[args.command]):
+            own = {a.dest for a in p._actions if a.option_strings}
+            p.set_defaults(**{k: v for k, v in loaded.items() if k in own})
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -11,7 +11,7 @@ writer in `cli` serialises byte-identically:
     diverged      whether the scheme blew up
 
 plus `k` and `beta`, which name the files, and, where there is a snapshot,
-the `grid` and `times` that place it.
+the `grid` and `final_time` that place it.
 
 Desk-scale presets (``small=True``) shrink the grids so the full suite runs
 in minutes; full-scale defaults are kept for offline reproduction runs.
@@ -155,6 +155,7 @@ class RadiusReport:
     blowup_step: Optional[int] = None
     grid: Optional[sp.Grid2D] = None
     final_values: Optional[np.ndarray] = None
+    final_time: Optional[float] = None
 
     @property
     def max_relative_deviation(self) -> float:
@@ -193,7 +194,7 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
                         radius=tuple(summary.values),
                         radius_theory=tuple(theory_radius(t) for t in times),
                         diverged=summary.diverged, blowup_step=summary.blowup_step,
-                        grid=grid, final_values=final)
+                        grid=grid, final_values=final, final_time=summary.final_time)
 
 
 def ch_preset(small: bool) -> dict:
@@ -215,6 +216,7 @@ class SchemeVerdict:
     energy: tuple
     ref_distance: tuple
     final_values: Optional[np.ndarray] = None
+    final_time: Optional[float] = None
     grid: Optional[sp.Grid2D] = None
 
     @property
@@ -320,5 +322,5 @@ def run_cahn_hilliard(config: ExperimentConfig,
             blowup_step=summary.blowup_step, times=tuple(summary.times),
             energy=tuple(e for e, _ in summary.values),
             ref_distance=tuple(d for _, d in summary.values),
-            final_values=final, grid=grid))
+            final_values=final, final_time=summary.final_time, grid=grid))
     return report

@@ -217,11 +217,12 @@ def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
 
 @dataclass
 class TrajectorySummary:
-    """Observed values at `times`, the final finite level and the blow-up, if any."""
+    """Observed values at `times`, the final finite level and its time, and the blow-up."""
 
     times: list = field(default_factory=list)
     values: list = field(default_factory=list)
     final_state: Optional[np.ndarray] = None
+    final_time: Optional[float] = None
     blowup: Optional[BlowUpError] = None
 
     @property
@@ -239,8 +240,9 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
 
     `times` lists the observed times; with `observe`, the values of
     `observe(u, t)` go to `values`, one per entry of `times`.  A blow-up ends
-    the run: the returned summary holds the `BlowUpError` in `blowup` and the
-    last finite level in `final_state`.
+    the run: the returned summary holds the `BlowUpError` in `blowup`, the
+    last finite level in `final_state` (None if the start blew up) and its
+    time, (step - 1) * dt, in `final_time`.
     """
     nsteps = int(round(T / dt))
     if nsteps < k:
@@ -264,7 +266,7 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
     except BlowUpError as exc:
         # without its traceback the error does not keep the run's frames alive
         summary.blowup = exc.with_traceback(None)
-        summary.final_state = exc.last_state
+        summary.final_state, summary.final_time = exc.last_state, (exc.step - 1) * dt
         return summary
-    summary.final_state = state.newest
+    summary.final_state, summary.final_time = state.newest, state.time
     return summary

@@ -1,15 +1,13 @@
 """Dense univariate real polynomials: evaluation, roots, resultants, critical points.
 
-Coefficients are stored in ascending degree order.  Root finding goes through
-the companion matrix (balanced eigensolve); resultants are Sylvester-matrix
-determinants, always computed exactly in rational arithmetic.
+A polynomial is a plain sequence of coefficients in ascending degree order,
+exact (int/Fraction) or float.  Root finding goes through the companion matrix
+(balanced eigensolve); resultants are computed exactly by Euclid's algorithm.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +17,7 @@ ROOT_RESIDUAL_TOL = 1e-8
 
 def _trim(coeffs):
     c = [float(x) for x in coeffs]
-    if not c:
-        return [0.0]
-    scale = max(abs(x) for x in c)
+    scale = max((abs(x) for x in c), default=0.0)
     if scale == 0.0:
         return [0.0]
     n = len(c)
@@ -30,37 +26,17 @@ def _trim(coeffs):
     return c[:n]
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Real polynomial sum(coeffs[i] * x**i); trailing near-zeros trimmed."""
-
-    coeffs: tuple
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[float]) -> "RealPolynomial":
-        return cls(tuple(_trim(coeffs)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0.0 * x + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            return RealPolynomial((0.0,))
-        return RealPolynomial.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+def horner(coeffs, x):
+    """sum(coeffs[i] * x**i), in the arithmetic of the coefficients and of x."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
-def roots(p: RealPolynomial) -> np.ndarray:
+def roots(coeffs) -> np.ndarray:
     """All complex roots via companion-matrix eigenvalues, with a residual guard."""
-    c = _trim(p.coeffs if isinstance(p, RealPolynomial) else p)
+    c = _trim(coeffs)
     n = len(c) - 1
     if n < 1:
         raise ValueError("polynomial is constant; no roots to compute")
@@ -70,18 +46,11 @@ def roots(p: RealPolynomial) -> np.ndarray:
     comp[:, -1] = [-ci / lead for ci in c[:n]]
     rts = np.linalg.eigvals(comp)
     scale = max(abs(ci) for ci in c)
-    poly = RealPolynomial(tuple(c))
     for r in rts:
-        resid = abs(poly(r)) / (scale * max(1.0, abs(r)) ** n)
+        resid = abs(horner(c, r)) / (scale * max(1.0, abs(r)) ** n)
         if not resid < ROOT_RESIDUAL_TOL:
             raise ArithmeticError(f"root residual {resid:.3e} exceeds tolerance")
     return rts
-
-
-def _coeff_list(p):
-    if isinstance(p, RealPolynomial):
-        return list(p.coeffs)
-    return list(p)
 
 
 def _exact_trim(c):
@@ -91,49 +60,30 @@ def _exact_trim(c):
     return c[:n]
 
 
-def sylvester_matrix(p, q):
-    """Sylvester matrix of p (degree m) and q (degree n): n rows of p, then m rows of q,
-    coefficients in descending order, each row shifted one column right."""
-    pc = _exact_trim(_coeff_list(p))
-    qc = _exact_trim(_coeff_list(q))
-    m, n = len(pc) - 1, len(qc) - 1
-    if m < 1 or n < 1:
-        raise ValueError("both polynomials must have degree >= 1")
-    size = m + n
-    zero = pc[0] * 0
-    rows = [[zero] * size for _ in range(size)]
-    pdesc, qdesc = pc[::-1], qc[::-1]
-    for i in range(n):
-        rows[i][i : i + m + 1] = pdesc
-    for j in range(m):
-        rows[n + j][j : j + n + 1] = qdesc
-    return rows
-
-
-def _exact_det(rows):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivot = Fraction(rows[col][col])
-        det *= pivot
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = Fraction(rows[r][col]) / pivot
-                rows[r] = [Fraction(rows[r][j]) - factor * Fraction(rows[col][j])
-                           for j in range(n)]
-    return det
-
-
 def sylvester_resultant(p, q):
-    """Determinant of the Sylvester matrix, as an exact Fraction."""
-    return _exact_det(sylvester_matrix(p, q))
+    """Resultant (Sylvester determinant) of p and q as an exact Fraction.
+
+    Euclid's algorithm (Collins 1967): Res(p, q) = (-1)^(mn) lc(q)^(m - deg r)
+    Res(q, r) with r = p mod q; 0 once r vanishes, lc(q)^m once q is constant.
+    """
+    p = _exact_trim([Fraction(x) for x in p])
+    q = _exact_trim([Fraction(x) for x in q])
+    if len(p) < 2 or len(q) < 2:
+        raise ValueError("both polynomials must have degree >= 1")
+    res = Fraction(1)
+    while len(q) > 1:
+        m, n = len(p) - 1, len(q) - 1
+        r = p[:]  # reduced in place to p mod q
+        for i in range(m, n - 1, -1):
+            f = r[i] / q[-1]
+            for j in range(n):
+                r[i - n + j] -= f * q[j]
+        r = _exact_trim(r[:n])
+        if r[-1] == 0:
+            return Fraction(0)
+        res *= (-1) ** (m * n) * q[-1] ** (m - len(r) + 1)
+        p, q = q, r
+    return res * q[0] ** (len(p) - 1)
 
 
 def _real_roots_quadratic(c0, c1, c2):
@@ -185,17 +135,18 @@ def _real_roots_cubic(c0, c1, c2, c3):
     return [shift + u + v]
 
 
-def real_critical_points(p: RealPolynomial):
+def real_critical_points(coeffs):
     """Real roots of p', in closed form up to cubic derivatives, else via companion."""
-    dp = p.derivative()
-    if dp.degree == 0:
+    c = _trim(coeffs)
+    dc = _trim([i * x for i, x in enumerate(c)][1:])
+    deg = len(dc) - 1
+    if deg == 0:
         return []
-    c = list(dp.coeffs)
-    if dp.degree == 1:
-        return [-c[0] / c[1]]
-    if dp.degree == 2:
-        return _real_roots_quadratic(*c)
-    if dp.degree == 3:
-        return _real_roots_cubic(*c)
-    rts = roots(dp)
+    if deg == 1:
+        return [-dc[0] / dc[1]]
+    if deg == 2:
+        return _real_roots_quadratic(*dc)
+    if deg == 3:
+        return _real_roots_cubic(*dc)
+    rts = roots(dc)
     return [r.real for r in rts if abs(r.imag) < 1e-9 * max(1.0, abs(r))]

@@ -1,8 +1,9 @@
 """Second routes the tests compare against; `betaimex` never calls them.
 
 Each function recomputes a quantity the library produces another way: the
-printed rational closed forms of the coefficients and of the Sylvester
-resultants, the certificate polynomials f_k/h_k as float polynomials, the
+printed rational closed forms of the coefficients and of the resultants, the
+resultant as a Sylvester determinant by Gaussian elimination in Fractions,
+the certificate polynomials f_k/h_k as float numpy Polynomials, the
 same quantities rebuilt from complex exponentials on the unit circle, a
 plain interval minimiser, the stability scan by batched companion-matrix
 eigensolves, the boundary locus of the stability region, the stepper's
@@ -16,12 +17,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from betaimex import coeffs
 from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
 from betaimex.spectral import MANUFACTURED_PARAMS
 from betaimex.certificates import _f_coeffs, _h_coeffs
-from betaimex.polynomials import RealPolynomial, real_critical_points
+from betaimex.polynomials import _exact_trim, real_critical_points
 from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
 
 F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
@@ -92,18 +94,64 @@ def printed_resultants(k, B):
     return ac, dc
 
 
+def sylvester_matrix(p, q):
+    """Sylvester matrix of p (degree m) and q (degree n): n rows of p, then m rows of q,
+    coefficients in descending order, each row shifted one column right."""
+    pc = _exact_trim(list(p))
+    qc = _exact_trim(list(q))
+    m, n = len(pc) - 1, len(qc) - 1
+    if m < 1 or n < 1:
+        raise ValueError("both polynomials must have degree >= 1")
+    size = m + n
+    zero = pc[0] * 0
+    rows = [[zero] * size for _ in range(size)]
+    pdesc, qdesc = pc[::-1], qc[::-1]
+    for i in range(n):
+        rows[i][i : i + m + 1] = pdesc
+    for j in range(m):
+        rows[n + j][j : j + n + 1] = qdesc
+    return rows
+
+
+def _exact_det(rows):
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pivot = Fraction(rows[col][col])
+        det *= pivot
+        for r in range(col + 1, n):
+            if rows[r][col] != 0:
+                factor = Fraction(rows[r][col]) / pivot
+                rows[r] = [Fraction(rows[r][j]) - factor * Fraction(rows[col][j])
+                           for j in range(n)]
+    return det
+
+
+def sylvester_determinant(p, q):
+    """`polynomials.sylvester_resultant` as the determinant of the Sylvester matrix,
+    by Gaussian elimination in Fractions."""
+    return _exact_det(sylvester_matrix(p, q))
+
+
 def certificate_polynomials(k, beta):
-    """The pair (f_k, h_k) evaluated at beta, as float RealPolynomials."""
+    """The pair (f_k, h_k) evaluated at beta, as float numpy Polynomials."""
     b = float(beta)
-    f = RealPolynomial.from_coeffs([float(c) for c in _f_coeffs(k, b)])
-    h = RealPolynomial.from_coeffs([float(c) for c in _h_coeffs(k, b)])
+    f = Polynomial([float(c) for c in _f_coeffs(k, b)])
+    h = Polynomial([float(c) for c in _h_coeffs(k, b)])
     return f, h
 
 
 def g4_polynomial(beta):
     """Auxiliary quadratic bounding the interior critical values of f_4."""
     w0, w1, w2, _ = _f_coeffs(4, float(beta))
-    return RealPolynomial.from_coeffs([3 * w0, 2 * w1, w2])
+    return Polynomial([3 * w0, 2 * w1, w2])
 
 
 def circle_pairing_f(k, beta, theta):
@@ -130,7 +178,7 @@ def circle_pairing_h(k, beta, theta):
     return (D * C).real
 
 
-def min_on_interval(p: RealPolynomial, lo: float, hi: float):
+def min_on_interval(p: Polynomial, lo: float, hi: float):
     """Global minimum of p over [lo, hi]: endpoints plus interior critical points.
 
     Returns (argmin, minimum).
@@ -138,7 +186,7 @@ def min_on_interval(p: RealPolynomial, lo: float, hi: float):
     if not lo < hi:
         raise ValueError("need lo < hi")
     candidates = [lo, hi]
-    candidates += [x for x in real_critical_points(p) if lo < x < hi]
+    candidates += [x for x in real_critical_points(p.coef) if lo < x < hi]
     best_x, best_v = lo, p(lo)
     for x in sorted(candidates):
         v = p(x)

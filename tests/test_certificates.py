@@ -10,7 +10,8 @@ from betaimex import certificates as cert
 from betaimex import coeffs
 from betaimex.polynomials import sylvester_resultant
 from oracles import (F_SCALE, certificate_polynomials, circle_pairing_f,
-                     circle_pairing_h, g4_polynomial, printed_resultants)
+                     circle_pairing_h, g4_polynomial, printed_resultants,
+                     sylvester_determinant)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -80,6 +81,20 @@ def test_resultants_match_printed_closed_forms(k):
         assert rep.resultant_DC == pytest.approx(float(dc_ref), rel=1e-10)
 
 
+# Fraction shifts on [1, 100]; k = 5 also below 1, where `verify_k5_range` runs
+RESULTANT_BETAS = ([Fraction(n, 4) for n in range(4, 41)]
+                   + [Fraction(n, 10) for n in (123, 255, 499, 731, 1000)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_resultants_equal_the_sylvester_determinant(k):
+    betas = RESULTANT_BETAS + ([Fraction(n, 10) for n in range(10)] if k == 5 else [])
+    for B in betas:
+        rec = coeffs._build(k, B)
+        for p in (rec.a, rec.d):
+            assert sylvester_resultant(p, rec.c) == sylvester_determinant(p, rec.c)
+
+
 def test_k5_printed_resultant_example():
     rec = coeffs.exact_scheme_coefficients(5, Fraction(1))
     assert sylvester_resultant(list(rec.d), list(rec.c)) == 1
@@ -95,8 +110,8 @@ def test_circle_pairings_match_certificate_polynomials(k, beta, theta):
     y = math.cos(theta)
     ref_f = circle_pairing_f(k, beta, theta)
     ref_h = circle_pairing_h(k, beta, theta)
-    scale_f = max(1.0, max(abs(c) for c in f.coeffs))
-    scale_h = max(1.0, max(abs(c) for c in h.coeffs))
+    scale_f = max(1.0, max(abs(c) for c in f.coef))
+    scale_h = max(1.0, max(abs(c) for c in h.coef))
     assert abs((1 - y) * f(y) / F_SCALE[k] - ref_f) <= 1e-9 * scale_f
     assert abs(h(y) - ref_h) <= 1e-9 * scale_h
 

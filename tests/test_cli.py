@@ -150,12 +150,15 @@ def test_allen_cahn_writes_outputs(tmp_path, capsys):
 
 
 def test_allen_cahn_blow_up_exits_2(tmp_path, capsys):
+    # 200 steps observed at stride 2; the blow-up at step 4 falls off the stride
     code, out = run_cli(["--out", str(tmp_path), "allen-cahn", "--resolution", "32",
-                         "--T", "30", "--dt", "5", "--schemes", "[[2,1]]"], capsys)
+                         "--T", "1000", "--dt", "5", "--schemes", "[[2,1]]"], capsys)
     assert code == 2
     summary = json.loads((tmp_path / "radius_summary.json").read_text())
     assert summary == [{"k": 2, "beta": 1.0, "diverged": True,
                         "max_relative_deviation": None}]
+    # the snapshot holds level 3, the last finite one, and says so
+    assert json.loads((tmp_path / "field_k2_beta1.json").read_text())["t"] == 15.0
 
 
 CH_TINY = ["cahn-hilliard", "--small", "--resolution", "32", "--no-reference"]
@@ -182,12 +185,15 @@ def test_cahn_hilliard_writes_outputs(tmp_path, capsys):
 
 
 def test_cahn_hilliard_blow_up_exits_2(tmp_path, capsys):
+    # 200 steps observed at stride 3; the (4, 1) blow-up falls off the stride
     code, out = run_cli(["--out", str(tmp_path)] + CH_TINY +
-                        ["--T", "2e-4", "--dt", "1e-5", "--schemes", "[[2,1],[4,1]]"], capsys)
+                        ["--T", "1e-3", "--dt", "5e-6", "--schemes", "[[2,1],[4,1]]"], capsys)
     assert code == 2
     verdicts = json.loads((tmp_path / "cahn_hilliard_summary.json").read_text())["verdicts"]
     assert [v["stable"] for v in verdicts] == [True, False]
-    assert verdicts[1]["blowup_step"] > 0
+    assert verdicts[1]["blowup_step"] == 27
+    # the snapshot holds level 26, the last finite one, and says so
+    assert json.loads((tmp_path / "field_k4_beta1.json").read_text())["t"] == 26 * 5e-6
 
 
 def test_cahn_hilliard_reference_blow_up_exits_1(tmp_path, capsys):
@@ -237,6 +243,16 @@ def test_config_file_preloads_flags(tmp_path, capsys):
     assert code == 0 and json.loads(out)["beta"] == 1.0
     code, out = run_cli(["--config", str(cfg), "coeffs", "--k", "2", "--beta", "5"], capsys)
     assert json.loads(out)["a"] == [4.5, -10.0, 5.5]
+    # flags set in the file alone reach the subcommand; required ones must be given
+    cfg.write_text(json.dumps({"res": "8,8", "window": "-4,2,-3,3", "k": 3}))
+    code, out = run_cli(["--out", str(tmp_path), "--config", str(cfg), "stability",
+                         "--k", "2", "--beta", "1"], capsys)
+    assert code == 0 and json.loads(out)["resolution"] == [8, 8]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == {"k": 2, "beta": 1.0, "window": [-4.0, 2.0, -3.0, 3.0],
+                                  "res": "8,8"}
+    with pytest.raises(SystemExit):
+        cli.main(["--config", str(cfg), "stability", "--beta", "1"])
 
 
 def test_internal_error_exit_code(capsys):

@@ -158,6 +158,7 @@ def test_blowup_is_returned_with_the_step_that_step_raises():
     assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
     assert str(s.blowup) == str(err.value)
     assert np.isfinite(last).all() and np.array_equal(s.final_state, last)
+    assert s.final_time == state.time == (s.blowup_step - 1) * 0.5
     assert s.times[-1] < err.value.time
     # from u(0) = 5 the starter itself blows up: initialize raises, run returns
     spec.u0 = np.array([5.0])
@@ -177,7 +178,7 @@ def test_run_observes_every_stride_and_the_last_level():
                 observe=lambda u, t: (t, float(u[0])))
     assert s.times == [n * dt for n in (0, 3, 6, 9, 11)]
     assert [t for t, _ in s.values] == s.times
-    assert s.values[-1][1] == s.final_state[0]
+    assert s.values[-1][1] == s.final_state[0] and s.final_time == s.times[-1]
     assert not s.diverged and s.blowup is None and s.blowup_step is None
 
 

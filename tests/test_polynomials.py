@@ -5,38 +5,41 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from betaimex import coeffs
-from betaimex.polynomials import (RealPolynomial, roots, sylvester_matrix,
-                                  sylvester_resultant)
-from oracles import certificate_polynomials, min_on_interval
+from betaimex.polynomials import real_critical_points, roots, sylvester_resultant
+from oracles import (certificate_polynomials, min_on_interval, sylvester_determinant,
+                     sylvester_matrix)
 
 
 def test_trimming_and_degree():
-    p = RealPolynomial.from_coeffs([1.0, 2.0, 0.0, 1e-17])
-    assert p.degree == 1
-    assert RealPolynomial.from_coeffs([0.0, 0.0]).degree == 0
+    # trailing coefficients below 1e-14 of the largest do not count: degree 1
+    assert np.allclose(roots([1.0, 2.0, 0.0, 1e-17]), [-0.5])
+    assert real_critical_points([1.0, 2.0, 0.0, 1e-17]) == []
+    with pytest.raises(ValueError):
+        roots([0.0, 0.0])  # degree 0
 
 
 def test_roots_difference_of_squares():
-    r = sorted(roots(RealPolynomial.from_coeffs([-1.0, 0.0, 1.0])).real)
+    r = sorted(roots([-1.0, 0.0, 1.0]).real)
     assert np.allclose(r, [-1.0, 1.0])
 
 
 def test_explicit_polynomial_root_examples():
     # single root of the k=2 explicit polynomial at beta/(beta+1)
     c = coeffs.scheme_coefficients(2, 3.0).c
-    r = roots(RealPolynomial.from_coeffs(list(c)))
+    r = roots(c)
     assert len(r) == 1 and r[0].real == pytest.approx(0.75, rel=1e-12)
     # k=3: complex pair with squared modulus beta/(beta+2)
     c = coeffs.scheme_coefficients(3, 2.0).c
-    r = roots(RealPolynomial.from_coeffs(list(c)))
+    r = roots(c)
     assert np.allclose(np.abs(r) ** 2, 0.5, rtol=1e-10)
 
 
 def test_roots_rejects_constant():
     with pytest.raises(ValueError):
-        roots(RealPolynomial.from_coeffs([3.0]))
+        roots([3.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,8 +49,7 @@ def test_roots_round_trip(real_roots):
     # separated roots only: clustered roots are ill-conditioned by nature
     assume(min([1.0] + [abs(a - b) for i, a in enumerate(real_roots)
                         for b in real_roots[i + 1:]]) > 0.05)
-    p = RealPolynomial.from_coeffs(np.poly(real_roots)[::-1])
-    got = sorted(roots(p).real)
+    got = sorted(roots(np.poly(real_roots)[::-1]).real)
     assert np.allclose(sorted(real_roots), got, atol=1e-7 * max(1, np.abs(real_roots).max()))
 
 
@@ -68,7 +70,8 @@ def test_sylvester_printed_fourth_order_example():
 
 
 def test_sylvester_matrix_shape():
-    rows = sylvester_matrix([1, 2, 3], [4, 5])  # deg 2, deg 1
+    # the oracle's matrix: deg 2 and deg 1 give 3 x 3
+    rows = sylvester_matrix([1, 2, 3], [4, 5])
     assert len(rows) == 3 and all(len(r) == 3 for r in rows)
 
 
@@ -110,8 +113,10 @@ small_coeff = st.integers(min_value=-4, max_value=4)
 @settings(max_examples=50, deadline=None)
 @given(p=st.lists(small_coeff, min_size=2, max_size=4),
        q=st.lists(small_coeff, min_size=2, max_size=4),
-       shared=st.booleans(), root=st.integers(min_value=-3, max_value=3))
-def test_resultant_zero_iff_common_factor(p, q, shared, root):
+       shared=st.booleans(), root=st.integers(min_value=-3, max_value=3),
+       cast=st.sampled_from((int, float)), pad_p=st.integers(0, 2),
+       pad_q=st.integers(0, 2))
+def test_resultant_zero_iff_common_factor(p, q, shared, root, cast, pad_p, pad_q):
     pf = [Fraction(x) for x in p]
     qf = [Fraction(x) for x in q]
     if pf[-1] == 0 or qf[-1] == 0:
@@ -121,6 +126,11 @@ def test_resultant_zero_iff_common_factor(p, q, shared, root):
         pf, qf = _poly_mul(pf, lin), _poly_mul(qf, lin)
     res = sylvester_resultant(pf, qf)
     assert (res == 0) == (_gcd_degree(pf, qf) >= 1)
+    assert res == sylvester_determinant(pf, qf)
+    # the same integer pair as ints or floats, padded with trailing zeros
+    pc = [cast(x) for x in pf] + [cast(0)] * pad_p
+    qc = [cast(x) for x in qf] + [cast(0)] * pad_q
+    assert sylvester_resultant(pc, qc) == res == sylvester_determinant(pc, qc)
 
 
 def test_min_on_interval_examples():
@@ -137,22 +147,20 @@ def test_min_on_interval_examples():
 
 
 def test_min_on_interval_constant_poly():
-    p = RealPolynomial.from_coeffs([5.0])
+    p = Polynomial([5.0])
     assert min_on_interval(p, -2.0, 3.0) == (-2.0, 5.0)
 
 
 def test_min_on_interval_requires_ordering():
     with pytest.raises(ValueError):
-        min_on_interval(RealPolynomial.from_coeffs([1.0, 1.0]), 2.0, 1.0)
+        min_on_interval(Polynomial([1.0, 1.0]), 2.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=6),
        st.floats(min_value=-2, max_value=0.5), st.floats(min_value=0.6, max_value=2.5))
 def test_min_on_interval_beats_dense_sampling(cs, lo, hi):
-    p = RealPolynomial.from_coeffs(cs)
-    if p.degree == 0:
-        return
+    p = Polynomial(cs)
     x, v = min_on_interval(p, lo, hi)
     ys = p(np.linspace(lo, hi, 10_000))
     assert v <= ys.min() + 1e-9 * max(1.0, np.abs(ys).max())

@@ -2,7 +2,7 @@ import betaimex
 
 PUBLIC_NAMES = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
-    "RealPolynomial", "SchemeCoefficients", "StabilityGrid",
+    "SchemeCoefficients", "StabilityGrid",
     "TelescopingCertificate", "TrajectorySummary", "__version__",
     "characteristic_coeffs", "classical_condition", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
