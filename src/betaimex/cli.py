@@ -6,8 +6,9 @@ its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
 Global flags --out/--seed apply everywhere; a JSON config file can preload
 any flag (explicit command-line flags win).  Exit codes: 0 all good, 2
-completed but some scheme was judged unstable, 1 internal error.  Run as a
-program, warnings print as `warning: <message>` without a source location.
+completed but some scheme was judged unstable, 1 usage or internal error.
+Run as a program, warnings print as `warning: <message>` without a source
+location.
 """
 from __future__ import annotations
 
@@ -225,9 +226,16 @@ def cmd_experiment(args):
     return EXIT_UNSTABLE if diverged else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; 2 means "judged unstable"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="betaimex",
-                                     description="shifted BDF/IMEX scheme toolbox")
+    parser = _Parser(prog="betaimex", description="shifted BDF/IMEX scheme toolbox")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="JSON file preloading any flag of the subcommand")
     parser.add_argument("--out", help="output directory", default=None)
@@ -283,19 +291,46 @@ def build_parser():
     return parser
 
 
+def _preload(parser, loaded):
+    """Make the `--config` values of `parser`'s own flags its defaults.
+
+    A value goes in as the text the command line would carry, so the flag's
+    type converts it; a switch takes true or false.  Anything else is a usage
+    error that names the flag.
+    """
+    defaults = {}
+    for action in parser._actions:
+        if not action.option_strings or action.dest not in loaded:
+            continue
+        value, flag = loaded[action.dest], action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                parser.error(f"--config: {flag} takes true or false, not {value!r}")
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            value = str(value)
+        else:
+            parser.error(f"--config: {flag} takes a string or a number, not {value!r}")
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: cannot read {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error("--config: the file must hold a JSON object of flag values")
         # as defaults, so explicit flags win; a subcommand's own defaults
         # would overwrite anything preloaded into the namespace
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
         for p in (parser, subparsers.choices[args.command]):
-            own = {a.dest for a in p._actions if a.option_strings}
-            p.set_defaults(**{k: v for k, v in loaded.items() if k in own})
+            _preload(p, loaded)
         args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -12,10 +12,20 @@ One step solves
 which is a per-mode solve.  k = 1 (classical backward-Euler IMEX) is
 supported as the baseline scheme; orders 2..5 come from `coeffs`.
 
-`initialize` builds a `StepPlan` once per run: the float weights -a[q]/dt,
--b[q] and c[q] and the inverse 1/(a[k]/dt + b[k-1] L).  `step` then sums each
-weighted history combination in place, multiplies by L once (on the b-sum)
-and by the inverse once, and checks the new level with one max |u| pass.
+`initialize` builds a `StepPlan` once per run: the a-, b- and c-weights as one
+(3, k) matrix per ring offset, and the inverse 1/(a[k]/dt + b[k-1] L).  The
+k levels live in one (k, ...) array used as a ring.  `step` forms the three
+weighted sums with one matmul on the real view of that ring, multiplies the
+b-sum by L and the result by the inverse once, and checks the new level with
+one max |u| pass.
+
+Ring contract: `step` advances the state in place and returns the same
+object; the new level overwrites the slot of the oldest one.  `state.newest`
+and the entries of `state.history` are views of the ring: a level keeps its
+value through the next k - 1 steps and is overwritten by the k-th, so copy
+what must outlive that.  `run` hands `observe(u, t)` such a view, valid for
+the duration of the call.  What `run` returns is a copy: `final_state` and
+`BlowUpError.last_state` never change when the state is stepped further.
 
 The zero mode of a periodic Laplacian gives L = 0 for the mean; the solve
 divides by a[k]/dt > 0 there, so semidefinite symbols are accepted.
@@ -69,37 +79,52 @@ class ProblemSpec:
 class StepPlan:
     """What `step` needs of one scheme at one dt and symbol, computed once.
 
-    The weights carry the sign with which they enter the right-hand side:
-    a = -a[q]/dt and b = -b[q]; `inverse` is 1/(a[k]/dt + b[k-1] L).
+    `weights[h]` is the (3, k) matrix of the a-, b- and c-sums for a ring
+    whose oldest level sits in slot h: the weight of level q (oldest first)
+    is in the column of its slot, (h + q) % k.  The rows carry the sign with
+    which they enter the right-hand side: -a[q]/dt, -b[q - 1] (0 for the
+    oldest level) and c[q].  `inverse` is 1/(a[k]/dt + b[k-1] L).
     """
 
-    a: tuple
-    b: tuple
-    c: tuple
+    weights: np.ndarray
     inverse: np.ndarray
 
 
 def _step_plan(rec: SchemeCoefficients, dt, symbol) -> StepPlan:
     k = rec.k
-    return StepPlan(a=tuple(-float(w) / dt for w in rec.a[:k]),
-                    b=tuple(-float(w) for w in rec.b[:k - 1]),
-                    c=tuple(float(w) for w in rec.c[:k]),
+    w = np.zeros((3, k))
+    w[0] = [-float(v) / dt for v in rec.a[:k]]
+    w[1, 1:] = [-float(v) for v in rec.b[:k - 1]]
+    w[2] = [float(v) for v in rec.c[:k]]
+    return StepPlan(weights=np.stack([np.roll(w, h, axis=1) for h in range(k)]),
                     inverse=1.0 / (float(rec.a[k]) / dt + float(rec.b[k - 1]) * symbol))
 
 
 @dataclass
 class IntegratorState:
-    """Ring buffer of the k most recent levels (oldest first) plus step metadata."""
+    """The k most recent levels in a ring, the step count and the plan.
 
-    history: tuple
+    `ring[(head + q) % k]` holds level n - k + 1 + q, so `head` is the slot
+    of the oldest level.  `sums` is the scratch for the three weighted sums.
+    """
+
+    ring: np.ndarray
+    head: int
     n: int
     dt: float
     coefficients: SchemeCoefficients
     plan: StepPlan
+    sums: np.ndarray = field(repr=False)
+
+    @property
+    def history(self):
+        """The k levels, oldest first, as views of the ring."""
+        k = len(self.ring)
+        return tuple(self.ring[(self.head + q) % k] for q in range(k))
 
     @property
     def newest(self):
-        return self.history[-1]
+        return self.ring[self.head - 1]
 
     @property
     def time(self):
@@ -171,48 +196,51 @@ def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     if denom_min <= 0:
         raise ValueError("implicit solve is not positive definite "
                          f"(a_k/dt + b_(k-1)*lambda_min = {denom_min:g})")
-    return IntegratorState(history=tuple(levels), n=k - 1, dt=dt, coefficients=rec,
-                           plan=_step_plan(rec, dt, spec.linear_symbol))
+    dtype = np.complex128 if any(np.iscomplexobj(lv) for lv in levels) else np.float64
+    ring = np.array(levels, dtype=dtype)
+    return IntegratorState(ring=ring, head=0, n=k - 1, dt=dt, coefficients=rec,
+                           plan=_step_plan(rec, dt, spec.linear_symbol),
+                           sums=np.empty((3,) + ring.shape[1:], dtype))
 
 
-def _combine(weights, levels):
-    """sum_q weights[q] * levels[q], accumulated in place."""
-    acc = levels[0] * weights[0]
-    if len(weights) > 1:
-        term = np.empty_like(acc)
-        for w, u in zip(weights[1:], levels[1:]):
-            np.multiply(u, w, out=term)
-            acc += term
-    return acc
+def _real_rows(a):
+    # (m, ...) float or complex array -> (m, -1) float64 view of the same memory
+    return a.reshape(len(a), -1).view(np.float64)
+
+
+def _weighted_sums(state: IntegratorState) -> np.ndarray:
+    """The a-, b- and c-sums of the history as the rows of `state.sums`, by one matmul."""
+    np.matmul(state.plan.weights[state.head], _real_rows(state.ring),
+              out=_real_rows(state.sums))
+    return state.sums
 
 
 def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
-    """Advance one level; returns a new state (history rotated).
+    """Advance one level in place and return the same state (see the ring contract).
 
     `spec` must be the problem the state was initialised with: the plan's
-    inverse holds its linear symbol.
+    inverse holds its linear symbol.  On a blow-up the state is left as it
+    was, and the error carries a copy of the newest level.
     """
-    plan = state.plan
-    hist = state.history
     dt = state.dt
-
-    rhs = _combine(plan.a, hist)
-    if plan.b:
-        lin = _combine(plan.b, hist[1:])
+    rhs, lin, mix = _weighted_sums(state)
+    if len(state.ring) > 1:
         lin *= spec.linear_symbol
         rhs += lin
     if spec.nonlinear is not None:
-        rhs -= spec.nonlinear(_combine(plan.c, hist))
+        rhs -= spec.nonlinear(mix)
     if spec.source is not None:
         rhs += spec.source((state.n + float(state.coefficients.beta)) * dt)
-    rhs *= plan.inverse
+    rhs *= state.plan.inverse
     try:
         _check_finite(rhs, state.n + 1, (state.n + 1) * dt)
     except BlowUpError as exc:
-        exc.last_state = hist[-1]
+        exc.last_state = state.newest.copy()
         raise
-    return IntegratorState(history=hist[1:] + (rhs,), n=state.n + 1, dt=dt,
-                           coefficients=state.coefficients, plan=plan)
+    state.ring[state.head] = rhs
+    state.head = (state.head + 1) % len(state.ring)
+    state.n += 1
+    return state
 
 
 @dataclass
@@ -268,5 +296,5 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
         summary.blowup = exc.with_traceback(None)
         summary.final_state, summary.final_time = exc.last_state, (exc.step - 1) * dt
         return summary
-    summary.final_state, summary.final_time = state.newest, state.time
+    summary.final_state, summary.final_time = state.newest.copy(), state.time
     return summary

@@ -6,8 +6,9 @@ resultant as a Sylvester determinant by Gaussian elimination in Fractions,
 the certificate polynomials f_k/h_k as float numpy Polynomials, the
 same quantities rebuilt from complex exponentials on the unit circle, a
 plain interval minimiser, the stability scan by batched companion-matrix
-eigensolves, the boundary locus of the stability region, the stepper's
-arithmetic rebuilt from the raw coefficients on every call, the interface
+eigensolves, the boundary locus of the stability region, the history sums
+as a loop of scaled adds, the stepper's arithmetic rebuilt from the raw
+coefficients on every call, the interface
 radius by a row loop, the free energy from physical-space derivatives and
 the manufactured source evaluated on the grid.
 """
@@ -245,6 +246,17 @@ def boundary_locus(k, beta, theta):
     a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
     w = np.exp(1j * np.asarray(theta))
     return np.polyval(a[::-1], w) / (w * np.polyval(b[::-1], w))
+
+
+def combine(weights, levels):
+    """sum_q weights[q] * levels[q], accumulated in place."""
+    acc = levels[0] * weights[0]
+    if len(weights) > 1:
+        term = np.empty_like(acc)
+        for w, u in zip(weights[1:], levels[1:]):
+            np.multiply(u, w, out=term)
+            acc += term
+    return acc
 
 
 def reference_step(state, spec):

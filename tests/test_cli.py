@@ -255,6 +255,54 @@ def test_config_file_preloads_flags(tmp_path, capsys):
         cli.main(["--config", str(cfg), "stability", "--beta", "1"])
 
 
+def test_usage_errors_exit_1_not_the_unstable_code_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": "abc"}))
+    for argv, flag in ((["--config", str(cfg), "verify", "--k", "2"], "--beta"),
+                       (["stability", "--beta", "1"], "--k"),
+                       (["--config", str(tmp_path / "none.json"), "coeffs", "--k", "2", "--beta", "1"],
+                        "--config")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_ERROR == 1
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loaded,flag", [
+    ({"res": [8, 8]}, "--res"), ({"window": None}, "--window"), ({"seed": 2.5}, "--seed"),
+    ({"beta": {"x": 1}}, "--beta"), ({"beta": True}, "--beta"), ({"res": "8"}, "--res")])
+def test_config_values_go_through_their_flags_type(tmp_path, capsys, loaded, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["--out", str(out), "--config", str(cfg), "stability",
+                         "--k", "2", "--beta", "1"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1 and flag in capsys.readouterr().err
+    assert not any(out.glob("*.pgm"))
+
+
+def test_config_numbers_and_switches_reach_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # a number goes in as its command-line text; required flags stay on the line
+    cfg.write_text(json.dumps({"beta": 3, "seed": 7}))
+    code, _ = run_cli(["--out", str(tmp_path), "--config", str(cfg), "verify", "--k", "2"],
+                      capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "verify_k2.json").read_text())[0]["beta"] == 3.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["beta"] == 3.0 and manifest["seed"] == 7
+    cfg.write_text(json.dumps({"exact": True}))
+    code, out = run_cli(["--config", str(cfg), "coeffs", "--k", "3", "--beta", "3/2"], capsys)
+    assert code == 0 and json.loads(out)["beta"] == "3/2"
+    cfg.write_text(json.dumps({"exact": "yes"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "coeffs", "--k", "2", "--beta", "1"])
+    assert exc.value.code == 1 and "--exact" in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(capsys):
     code = cli.main(["coeffs", "--k", "9", "--beta", "1"])
     assert code == 1

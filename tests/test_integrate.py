@@ -6,7 +6,7 @@ import pytest
 from betaimex import integrate as itg
 from betaimex import spectral as sp
 from betaimex.coeffs import scheme_coefficients
-from oracles import reference_step
+from oracles import combine, reference_step
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -236,11 +236,84 @@ def _half_spectrum_problem():
 def test_planned_step_matches_reference_step(problem, k, beta):
     spec, exact, dt = problem()
     state = itg.initialize(spec, k, beta, dt, starter=exact)
-    for _ in range(4):
+    for _ in range(2 * k + 1):  # every ring offset, twice
         want = reference_step(state, spec)
         state = itg.step(state, spec)
         assert state.newest.dtype == want.dtype
         assert np.abs(state.newest - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("problem", [_real_vector_problem, _half_spectrum_problem])
+@pytest.mark.parametrize("k,beta", _ORDERS)
+def test_weighted_sums_match_the_combine_oracle(problem, k, beta):
+    spec, exact, dt = problem()
+    state = itg.initialize(spec, k, beta, dt, starter=exact)
+    rec = state.coefficients
+    a = [-float(w) / dt for w in rec.a[:k]]
+    b = [-float(w) for w in rec.b[:k - 1]]
+    c = [float(w) for w in rec.c[:k]]
+    for _ in range(k + 1):  # every ring offset
+        hist = state.history
+        rows = itg._weighted_sums(state)
+        if k == 1:
+            assert not rows[1].any()  # no b-sum
+        for row, weights, levels in ((rows[0], a, hist), (rows[1], b, hist[1:]),
+                                     (rows[2], c, hist)):
+            if not weights:
+                continue
+            # compared per real component against the rounding bound of a
+            # k-term sum, k ulp of sum |w_q| |u_q|: the sums themselves
+            # cancel, so a bound relative to them would not hold
+            got = row.view(np.float64)
+            want = combine(weights, levels).view(np.float64)
+            scale = combine(np.abs(weights), [np.abs(lv.view(np.float64)) for lv in levels])
+            assert np.all(np.abs(got - want) <= k * np.finfo(float).eps * scale)
+        itg.step(state, spec)
+
+
+def test_step_advances_the_ring_in_place():
+    spec, exact, dt = _real_vector_problem()
+    k = 3
+    state = itg.initialize(spec, k, 2.0, dt, starter=exact)
+    assert itg.step(state, spec) is state and state.n == k
+    held, value = state.newest, state.newest.copy()
+    for _ in range(k - 1):  # a level keeps its value for k - 1 more steps ...
+        itg.step(state, spec)
+        assert np.array_equal(held, value)
+    itg.step(state, spec)  # ... and the k-th overwrites its slot
+    assert np.shares_memory(held, state.newest) and not np.array_equal(held, value)
+
+
+def test_run_hands_out_copies_of_the_ring(monkeypatch):
+    # `run` calls `step` through the module global: record each state it steps
+    seen, real_step = [], itg.step
+
+    def spy(state, spec):
+        seen.append(state)
+        return real_step(state, spec)
+
+    monkeypatch.setattr(itg, "step", spy)
+    spec, exact, dt = _real_vector_problem()
+    k = 3
+    s = itg.run(spec, k, 2.0, dt, 10 * dt, starter=exact)
+    assert len(seen) == 10 - (k - 1)
+    final = s.final_state.copy()
+    for _ in range(k + 1):
+        real_step(seen[-1], spec)
+    assert np.array_equal(s.final_state, final)
+
+    # the error's last finite level is a copy too: step the state it left on
+    # a calm problem with the same (zero) symbol
+    wild = itg.ProblemSpec(linear_symbol=np.zeros(1), nonlinear=lambda u: -u ** 2,
+                           u0=np.array([0.5]))
+    seen.clear()
+    s = itg.run(wild, 2, 1.0, 0.5, 25.0)
+    last = s.blowup.last_state.copy()
+    assert s.final_state is s.blowup.last_state
+    calm = itg.ProblemSpec(linear_symbol=np.zeros(1))
+    for _ in range(3):
+        real_step(seen[-1], calm)
+    assert np.array_equal(s.blowup.last_state, last)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.1e10, 0.9e10])
