@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .coeffs import (SchemeCoefficients, eta, exact_scheme_coefficients,
                      scheme_coefficients)
-from .certificates import (CertificateReport, classical_condition,
-                           stability_condition, verify_certificate,
-                           verify_k5_range)
+from .certificates import (CertificateReport, stability_condition,
+                           verify_certificate, verify_k5_range)
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
                         TrajectorySummary, initialize, run, step)
 from .polynomials import roots, sylvester_resultant
@@ -19,7 +18,7 @@ __all__ = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
     "TelescopingCertificate", "TrajectorySummary",
-    "characteristic_coeffs", "classical_condition", "eta",
+    "characteristic_coeffs", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
     "scan_region",
     "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",

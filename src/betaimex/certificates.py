@@ -11,13 +11,17 @@ The certificate has four ingredients, all checked numerically here:
     be nonnegative on [-1, 1]  (scale s_k = 1, 3, 9, 180 for k = 2..5);
   * likewise Re[D~(z)/C~(z)] reduces to h_k(y) >= 0 on [-1, 1].
 
-f_k and h_k are evaluated from their rational closed forms; the interval
-minima are taken over exact rational re-evaluations at the (float) critical
-points, because the raw double-precision values of these polynomials lose
-several digits to cancellation once beta is large.  Resultants are exact too.
+f_k and h_k are evaluated from their rational closed forms.  The interval
+minima take their candidates from the float critical points and their values
+exactly, because the raw double-precision values of these polynomials lose
+several digits to cancellation once beta is large.  All exact work runs on
+Python integers: with beta = n/D and a candidate y = p/q, each value is a
+homogeneous integer form in (n, D) and (p, q) over a positive denominator, and
+the resultants come from the integer coefficient record of `coeffs`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +30,14 @@ from typing import Optional
 import numpy as np
 
 from . import coeffs
-from .polynomials import horner, real_critical_points, roots, sylvester_resultant
+from .polynomials import (_exact_trim, horner, real_critical_points, roots,
+                          sylvester_resultant)
 
-# smallest admissible multiplier shifts of the classical schemes
-ETA_TILDE = {2: 0.0, 3: 0.0836, 4: 0.2878}
+# h_k = (integer polynomial in beta) / den_k(beta); den_k ascending in beta
+_H_DENOMINATORS = {2: (0, 1), 3: (1, 1), 4: (27, 9), 5: (270, 18)}
+# beta at which the integer tables are read off as signed base-2^64 digits;
+# every table entry is far below 2^63 in magnitude
+_KRONECKER_BETA = 2 ** 64
 
 
 def _f_coeffs(k, B):
@@ -75,17 +83,70 @@ def _h_coeffs(k, B):
     raise coeffs.OrderError(f"no certificate polynomial for k={k}")
 
 
+@functools.cache
+def _exact_table(coeff_fn, k):
+    """coeff_fn(k, beta) as (rows, den): integer polynomials in beta over den(beta).
+
+    rows[j] holds the coefficients of y^j, ascending in beta and padded to
+    one length.  Read off from one exact evaluation at beta = 2^64 (Kronecker
+    substitution), on first use.
+    """
+    den = (1,) if coeff_fn is _f_coeffs else _H_DENOMINATORS[k]
+    beta = Fraction(_KRONECKER_BETA)
+    scale = horner(den, beta)
+    half = _KRONECKER_BETA // 2
+    rows = []
+    for value in coeff_fn(k, beta):
+        v = (value * scale).numerator  # den(beta) clears every denominator
+        row = []
+        while v:
+            digit = (v + half) % _KRONECKER_BETA - half
+            row.append(digit)
+            v = (v - digit) // _KRONECKER_BETA
+        rows.append(row)
+    width = max(len(r) for r in rows)
+    return tuple(tuple(r + [0] * (width - len(r))) for r in rows), den
+
+
+def _homogeneous(poly, p, q):
+    # sum_i poly[i] * p^i * q^(e - i) with e = len(poly) - 1 (Horner)
+    acc, q_pow = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    return acc
+
+
 def _certified_min(coeff_fn, k, beta):
-    """Minimum over [-1, 1]: float critical points, exact rational values."""
+    """Minimum over [-1, 1]: float critical points, exact values in integers.
+
+    With beta = n/D and y = p/q the value is S(p, q) / q^d times the positive
+    factor D^deg(den) / (D^e * den(n, D)) shared by every candidate, so the
+    candidates compare by cross-multiplication and the minimum is one
+    correctly rounded integer division, as float(Fraction) would give.
+    """
     critical = real_critical_points(coeff_fn(k, float(beta)))
     candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
-    exact_coeffs = [Fraction(c) for c in coeff_fn(k, Fraction(beta))]
-    best_x, best_v = None, None
+    rows, den = _exact_table(coeff_fn, k)
+    n, D = beta.numerator, beta.denominator
+    form = [_homogeneous(r, n, D) for r in rows]
+    d = len(form) - 1
+    best_x, best_s, best_w = None, None, None
     for x in sorted(candidates):
-        v = horner(exact_coeffs, Fraction(x))
-        if best_v is None or v < best_v:
-            best_x, best_v = x, v
-    return best_x, float(best_v)
+        p, q = x.as_integer_ratio()
+        s, w = _homogeneous(form, p, q), q ** d
+        if best_x is None or s * best_w < best_s * w:
+            best_x, best_s, best_w = x, s, w
+    scale = best_w * D ** (len(rows[0]) - len(den)) * _homogeneous(den, n, D)
+    return best_x, best_s / scale
+
+
+def _resultant(p, q):
+    # Res(P / L_P, Q / L_Q) as a float from (numerators, denominator) pairs
+    (P, lp), (Q, lq) = p, q
+    res = sylvester_resultant(P, Q)
+    deg_p, deg_q = len(_exact_trim(P)) - 1, len(_exact_trim(Q)) - 1
+    return res.numerator / (lp ** deg_q * lq ** deg_p)
 
 
 @dataclass(frozen=True)
@@ -116,12 +177,13 @@ class CertificateReport:
 
 def _build_report(k, beta):
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    rec = coeffs._build(k, beta_exact)
+    a, _, c, d = coeffs._integer_record(k, beta_exact)
     # exact resultants: float arithmetic loses too many digits to the massive
     # cancellation in them once beta is large
-    res_ac = float(sylvester_resultant(rec.a, rec.c))
-    res_dc = float(sylvester_resultant(rec.d, rec.c))
-    rmax = float(np.abs(roots(rec.c)).max())
+    res_ac = _resultant(a, c)
+    res_dc = _resultant(d, c)
+    c_nums, c_den = c
+    rmax = float(np.abs(roots([x / c_den for x in c_nums])).max())
     xf, min_f = _certified_min(_f_coeffs, k, beta_exact)
     xh, min_h = _certified_min(_h_coeffs, k, beta_exact)
     passed = (res_ac != 0.0 and res_dc != 0.0 and rmax < 1.0
@@ -145,13 +207,13 @@ def verify_k5_range(betas):
     """Fifth-order sweep over the given betas, each within [0, 100].
 
     Values below 1 are allowed here (the root-modulus claim covers [0, 100]),
-    so the coefficient systems are solved directly without the beta >= 1
-    guard used by the public generator.
+    so the reports are built directly, without the beta >= 1 guard of the
+    public generator.  `verify --k 5` sends every shift here.
     """
     reports = []
     for beta in betas:
         if not 0 <= beta <= 100:
-            raise ValueError("k=5 verification grid must stay within [0, 100]")
+            raise ValueError(f"k=5 verification shift beta={beta} must lie within [0, 100]")
         b = beta if isinstance(beta, Fraction) else Fraction(float(beta))
         reports.append(_build_report(5, b))
     return reports
@@ -163,20 +225,3 @@ def stability_condition(k, beta, gamma):
         raise ValueError("gamma must be nonnegative")
     margin = coeffs.eta(k, beta) - math.sqrt(gamma)
     return margin, margin > 0.0
-
-
-def classical_condition(k, gamma):
-    """Same-gamma condition for the classical (beta = 1) schemes.
-
-    lhs = 1 - eta~_k must exceed rhs = sqrt(c~_k * gamma * (1 + eta~_k^2)),
-    where c~_k is the absolute sum of the explicit weights at beta = 1.
-    """
-    if k not in ETA_TILDE:
-        raise coeffs.OrderError(f"classical condition tabulated for k in (2, 3, 4), not k={k}")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    eta_t = ETA_TILDE[k]
-    c_t = float(np.abs(coeffs._build(k, 1.0).c).sum())
-    lhs = 1.0 - eta_t
-    rhs = math.sqrt(c_t * gamma * (1.0 + eta_t ** 2))
-    return lhs, rhs, lhs > rhs

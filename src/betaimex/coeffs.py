@@ -20,7 +20,9 @@ in `certificates` and `telescoping` are built on.
 
 `scheme_coefficients(k, beta)` is the one entry point: it returns the whole
 record (a, b, c, d, eta).  beta may be a float (float entries) or a Fraction
-(exact rational entries); the Fraction path backs the test oracles.
+(exact rational entries); the Fraction path backs the test oracles.  The
+certificate reports take the same exact values from `_integer_record`, as
+integer numerators over one denominator per weight set.
 """
 from __future__ import annotations
 
@@ -152,6 +154,42 @@ def _build(k, beta) -> SchemeCoefficients:
     d = [bq - e * cq for bq, cq in zip(b, c)]
     return SchemeCoefficients(k=k, beta=beta, a=tuple(a), b=tuple(b), c=tuple(c),
                               d=tuple(d), eta=e)
+
+
+def _lagrange_numerators(Y, derivative):
+    # l_j(0) (derivative: l_j'(0)) for the nodes Y_j / D, where Y_j = Y_0 + j D,
+    # times (N-1)! D^(N-1-derivative): the integer +-C(N-1, j) times coefficient
+    # 0 (or 1) of prod_{i != j} (x - Y_i); listed from the last node to the first
+    N = len(Y)
+    out = []
+    for j in range(N - 1, -1, -1):
+        c0, c1 = 1, 0
+        for i, y in enumerate(Y):
+            if i != j:
+                c0, c1 = -y * c0, c0 - y * c1
+        w = math.comb(N - 1, j) * (c1 if derivative else c0)
+        out.append(-w if (N - 1 - j) % 2 else w)
+    return out
+
+
+def _integer_record(k, beta):
+    """(a, b, c, d) of `_build(k, beta)` as (integer numerators, common denominator).
+
+    beta = n/D is a Fraction; each denominator is positive, and each entry
+    equals the rational `_build` returns.  The weights are the Lagrange closed
+    forms on the scaled nodes n + s*D, whose differences are integer multiples
+    of D, so no rational arithmetic is needed.
+    """
+    n, D = beta.numerator, beta.denominator
+    back = [n - D + j * D for j in range(k + 1)]  # D * (beta - 1 + j)
+    den = math.factorial(k - 1) * D ** (k - 1)
+    a = [-x for x in _lagrange_numerators(back, True)]
+    b = _lagrange_numerators(back[:k], False)
+    c = _lagrange_numerators(back[1:], False)
+    # d = b - eta * c with eta = (n - D) / (n + offset * D)
+    e_num, e_den = n - D, n + ETA_DENOMINATOR_OFFSET[k] * D
+    d = [bq * e_den - e_num * cq for bq, cq in zip(b, c)]
+    return (a, k * den), (b, den), (c, den), (d, den * e_den)
 
 
 def scheme_coefficients(k, beta):

@@ -2,7 +2,8 @@
 
 A polynomial is a plain sequence of coefficients in ascending degree order,
 exact (int/Fraction) or float.  Root finding goes through the companion matrix
-(balanced eigensolve); resultants are computed exactly by Euclid's algorithm.
+(balanced eigensolve); resultants are computed exactly by the subresultant
+remainder sequence in integers.
 """
 from __future__ import annotations
 
@@ -60,30 +61,67 @@ def _exact_trim(c):
     return c[:n]
 
 
+def _integer_multiple(p):
+    # (P, L): integer coefficients P and L > 0 with p = P / L
+    if all(type(x) is int for x in p):
+        return list(p), 1
+    fr = [Fraction(x) for x in p]
+    den = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
+
+
+def _prem(a, b):
+    # pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, on a copy of a
+    r = list(a)
+    n, lb = len(b) - 1, b[-1]
+    for i in range(len(a) - 1, n - 1, -1):
+        f = r[i]
+        for j in range(i - n):
+            r[j] *= lb
+        for j in range(n):
+            r[i - n + j] = r[i - n + j] * lb - f * b[j]
+    return _exact_trim(r[:n])
+
+
 def sylvester_resultant(p, q):
     """Resultant (Sylvester determinant) of p and q as an exact Fraction.
 
-    Euclid's algorithm (Collins 1967): Res(p, q) = (-1)^(mn) lc(q)^(m - deg r)
-    Res(q, r) with r = p mod q; 0 once r vanishes, lc(q)^m once q is constant.
+    The inputs (int, Fraction or float) are scaled to integer polynomials
+    P = L_p p and Q = L_q q; their resultant comes from the subresultant PRS
+    (Brown & Traub 1971; Cohen, Alg. 3.3.7), which stays in integers, and
+    Res(p, q) = Res(P, Q) / (L_p^deg q * L_q^deg p).
     """
-    p = _exact_trim([Fraction(x) for x in p])
-    q = _exact_trim([Fraction(x) for x in q])
-    if len(p) < 2 or len(q) < 2:
+    (a, la), (b, lb) = _integer_multiple(p), _integer_multiple(q)
+    a, b = _exact_trim(a), _exact_trim(b)
+    m, n = len(a) - 1, len(b) - 1
+    if m < 1 or n < 1:
         raise ValueError("both polynomials must have degree >= 1")
-    res = Fraction(1)
-    while len(q) > 1:
-        m, n = len(p) - 1, len(q) - 1
-        r = p[:]  # reduced in place to p mod q
-        for i in range(m, n - 1, -1):
-            f = r[i] / q[-1]
-            for j in range(n):
-                r[i - n + j] -= f * q[j]
-        r = _exact_trim(r[:n])
+    scale = la ** n * lb ** m
+    # t collects the contents and the sign (-1)^(deg a * deg b) of each swap;
+    # g and h are the scalars the subresultant PRS divides out
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    t = ca ** n * cb ** m
+    if m < n:
+        a, b = b, a
+        if m % 2 and n % 2:
+            t = -t
+    g = h = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        if m % 2 and n % 2:
+            t = -t
+        r = _prem(a, b)
         if r[-1] == 0:
             return Fraction(0)
-        res *= (-1) ** (m * n) * q[-1] ** (m - len(r) + 1)
-        p, q = q, r
-    return res * q[0] ** (len(p) - 1)
+        delta = m - n
+        div = g * h ** delta
+        a, b = b, [x // div for x in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    m = len(a) - 1
+    h = b[0] ** m // h ** (m - 1)
+    return Fraction(t * h, scale)
 
 
 def _real_roots_quadratic(c0, c1, c2):

@@ -3,14 +3,16 @@
 Each function recomputes a quantity the library produces another way: the
 printed rational closed forms of the coefficients and of the resultants, the
 resultant as a Sylvester determinant by Gaussian elimination in Fractions,
-the certificate polynomials f_k/h_k as float numpy Polynomials, the
-same quantities rebuilt from complex exponentials on the unit circle, a
-plain interval minimiser, the stability scan by batched companion-matrix
-eigensolves, the boundary locus of the stability region, the history sums
-as a loop of scaled adds, the stepper's arithmetic rebuilt from the raw
-coefficients on every call, the interface
-radius by a row loop, the free energy from physical-space derivatives and
-the manufactured source evaluated on the grid.
+the certificate report from the Fraction coefficient record with its minima
+evaluated in Fractions, the certificate polynomials f_k/h_k as float numpy
+Polynomials, the same quantities rebuilt from complex exponentials on the
+unit circle, a plain interval minimiser, the stability scan by batched
+companion-matrix eigensolves, the boundary locus of the stability region,
+the history sums as a loop of scaled adds, the stepper's arithmetic rebuilt
+from the raw coefficients on every call, the interface radius by a row loop,
+the free energy from physical-space derivatives and the manufactured source
+evaluated on the grid.  It also keeps the classical
+same-gamma condition, which only the tests use.
 """
 from __future__ import annotations
 
@@ -23,12 +25,16 @@ from numpy.polynomial import Polynomial
 from betaimex import coeffs
 from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
 from betaimex.spectral import MANUFACTURED_PARAMS
-from betaimex.certificates import _f_coeffs, _h_coeffs
-from betaimex.polynomials import _exact_trim, real_critical_points
+from betaimex.certificates import CertificateReport, _f_coeffs, _h_coeffs
+from betaimex.polynomials import (_exact_trim, horner, real_critical_points, roots,
+                                  sylvester_resultant)
 from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
 
 F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
 _EIG_CHUNK = 65536
+
+# smallest admissible multiplier shifts of the classical schemes
+ETA_TILDE = {2: 0.0, 3: 0.0836, 4: 0.2878}
 
 
 def closed_form(k, beta):
@@ -139,6 +145,58 @@ def sylvester_determinant(p, q):
     """`polynomials.sylvester_resultant` as the determinant of the Sylvester matrix,
     by Gaussian elimination in Fractions."""
     return _exact_det(sylvester_matrix(p, q))
+
+
+def _fraction_min(coeff_fn, k, beta):
+    """Minimum over [-1, 1]: float critical points, exact rational values."""
+    critical = real_critical_points(coeff_fn(k, float(beta)))
+    candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
+    exact_coeffs = [Fraction(c) for c in coeff_fn(k, Fraction(beta))]
+    best_x, best_v = None, None
+    for x in sorted(candidates):
+        v = horner(exact_coeffs, Fraction(x))
+        if best_v is None or v < best_v:
+            best_x, best_v = x, v
+    return best_x, float(best_v)
+
+
+def fraction_report(k, beta):
+    """`certificates._build_report` from the `Fraction` record, in `Fraction`s."""
+    beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
+    rec = coeffs._build(k, beta_exact)
+    # exact resultants: float arithmetic loses too many digits to the massive
+    # cancellation in them once beta is large
+    res_ac = float(sylvester_resultant(rec.a, rec.c))
+    res_dc = float(sylvester_resultant(rec.d, rec.c))
+    rmax = float(np.abs(roots(rec.c)).max())
+    xf, min_f = _fraction_min(_f_coeffs, k, beta_exact)
+    xh, min_h = _fraction_min(_h_coeffs, k, beta_exact)
+    passed = (res_ac != 0.0 and res_dc != 0.0 and rmax < 1.0
+              and min_f >= 0.0 and min_h >= 0.0)
+    witness = None
+    if min_f < 0.0 or min_h < 0.0:
+        witness = (xf, min_f) if min_f <= min_h else (xh, min_h)
+    return CertificateReport(k=k, beta=float(beta), resultant_AC=res_ac,
+                             resultant_DC=res_dc, max_root_modulus_C=rmax,
+                             min_f=min_f, min_h=min_h, passed=passed,
+                             failure_witness=witness)
+
+
+def classical_condition(k, gamma):
+    """Same-gamma condition for the classical (beta = 1) schemes.
+
+    lhs = 1 - eta~_k must exceed rhs = sqrt(c~_k * gamma * (1 + eta~_k^2)),
+    where c~_k is the absolute sum of the explicit weights at beta = 1.
+    """
+    if k not in ETA_TILDE:
+        raise coeffs.OrderError(f"classical condition tabulated for k in (2, 3, 4), not k={k}")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    eta_t = ETA_TILDE[k]
+    c_t = float(np.abs(coeffs._build(k, 1.0).c).sum())
+    lhs = 1.0 - eta_t
+    rhs = math.sqrt(c_t * gamma * (1.0 + eta_t ** 2))
+    return lhs, rhs, lhs > rhs
 
 
 def certificate_polynomials(k, beta):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from betaimex import certificates as cert
 from betaimex import coeffs
 from betaimex.polynomials import sylvester_resultant
-from oracles import (F_SCALE, certificate_polynomials, circle_pairing_f,
-                     circle_pairing_h, g4_polynomial, printed_resultants,
-                     sylvester_determinant)
+from betaimex.cli import _beta_grid
+from oracles import (ETA_TILDE, F_SCALE, certificate_polynomials, circle_pairing_f,
+                     circle_pairing_h, classical_condition, fraction_report,
+                     g4_polynomial, printed_resultants, sylvester_determinant)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -95,6 +97,50 @@ def test_resultants_equal_the_sylvester_determinant(k):
             assert sylvester_resultant(p, rec.c) == sylvester_determinant(p, rec.c)
 
 
+RECORD_BETAS = (0.1, 0.30000000000000004, 1.0, 6.5, 100.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_integer_record_equals_the_fraction_record(k):
+    rng = random.Random(k)
+    betas = RECORD_BETAS + ((0.0,) if k == 5 else ()) + tuple(
+        rng.uniform(0.0, 100.0) for _ in range(20))
+    for beta in betas:
+        B = Fraction(beta)
+        rec = coeffs._build(k, B)
+        integer = coeffs._integer_record(k, B)
+        for ref, (nums, den) in zip((rec.a, rec.b, rec.c, rec.d), integer):
+            assert den > 0 and all(type(x) is int for x in nums)
+            assert [Fraction(x, den) for x in nums] == list(ref)
+
+
+# every 37th report of `verify --k 5 --grid 0:100:0.1`, every 53rd of
+# `verify --k 2|3|4 --grid 1:100:0.1`
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reports_equal_the_fraction_oracle(k):
+    if k == 5:
+        betas = _beta_grid("0:100:0.1")[::37]
+        reports = cert.verify_k5_range(betas)
+    else:
+        betas = _beta_grid("1:100:0.1")[::53]
+        reports = [cert.verify_certificate(k, b) for b in betas]
+    assert reports == [fraction_report(k, b) for b in betas]
+
+
+def test_k5_minima_keep_their_float_critical_points():
+    # recorded with the Fraction route on the grid's doubles; critical points
+    # taken from correctly rounded table coefficients move each by an ulp or more
+    betas = [20.3, 21.200000000000003, 15.100000000000001, 17.2, 0.9, 1.1]
+    assert set(betas) <= set(_beta_grid("0:100:0.1"))
+    by_beta = {r.beta: r for r in cert.verify_k5_range(betas)}
+    assert by_beta[20.3].min_f.hex() == "0x1.a715b40b4de89p+7"
+    assert by_beta[21.200000000000003].min_f.hex() == "0x1.a6e4415d28c1ap+7"
+    assert by_beta[15.100000000000001].min_h.hex() == "0x1.43e30571d005cp-4"
+    assert by_beta[17.2].min_h.hex() == "0x1.452f6928006e2p-4"
+    assert by_beta[0.9].failure_witness[0].hex() == "-0x1.953c4befa315ap-2"
+    assert by_beta[1.1].failure_witness[0].hex() == "0x1.cbaab482a0180p-6"
+
+
 def test_k5_printed_resultant_example():
     rec = coeffs.exact_scheme_coefficients(5, Fraction(1))
     assert sylvester_resultant(list(rec.d), list(rec.c)) == 1
@@ -141,11 +187,11 @@ def test_stability_condition_examples():
 
 
 def test_classical_condition_constants():
-    assert cert.ETA_TILDE == {2: 0.0, 3: 0.0836, 4: 0.2878}
+    assert ETA_TILDE == {2: 0.0, 3: 0.0836, 4: 0.2878}
     sums = {k: float(np.abs(coeffs.scheme_coefficients(k, 1.0).c).sum()) for k in (2, 3, 4)}
     assert sums == {2: 3.0, 3: 7.0, 4: 15.0}
-    lhs, rhs, ok = cert.classical_condition(2, 0.0)
+    lhs, rhs, ok = classical_condition(2, 0.0)
     assert (lhs, rhs, ok) == (1.0, 0.0, True)
-    lhs, rhs, ok = cert.classical_condition(4, 0.01)
+    lhs, rhs, ok = classical_condition(4, 0.01)
     assert lhs == pytest.approx(1 - 0.2878)
     assert rhs == pytest.approx(math.sqrt(15 * 0.01 * (1 + 0.2878 ** 2)), rel=1e-12)

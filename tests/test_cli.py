@@ -81,6 +81,20 @@ def test_verify_grid_ordered_by_beta(tmp_path, capsys):
     assert betas == sorted(betas) == [1.0, 1.5, 2.0, 2.5, 3.0]
 
 
+def test_verify_k5_has_one_beta_domain(tmp_path, capsys):
+    # --beta and --grid both take every shift in [0, 100] and nothing else
+    records = {}
+    for flag, value in (("--beta", "0.5"), ("--grid", "0.5:0.5:0.1")):
+        out = tmp_path / flag.strip("-")
+        code, _ = run_cli(["--out", str(out), "verify", "--k", "5", flag, value], capsys)
+        assert code == 2
+        records[flag] = (out / "verify_k5.json").read_text()
+    assert records["--beta"] == records["--grid"]
+    for flag, value in (("--beta", "150"), ("--grid", "99:101:1")):
+        code = cli.main(["--out", str(tmp_path), "verify", "--k", "5", flag, value])
+        assert code == 1 and "[0, 100]" in capsys.readouterr().err
+
+
 def test_converge_writes_reports(tmp_path, capsys):
     code, out = run_cli(["--out", str(tmp_path), "converge", "--k", "2", "--beta", "1",
                          "--dts", "0.05,0.025,0.0125,0.00625"], capsys)

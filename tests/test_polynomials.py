@@ -133,6 +133,44 @@ def test_resultant_zero_iff_common_factor(p, q, shared, root, cast, pad_p, pad_q
     assert sylvester_resultant(pc, qc) == res == sylvester_determinant(pc, qc)
 
 
+# pairs whose remainder sequence has a degree gap delta >= 2, in its first or
+# a later step, so the subresultant PRS divides by g * h^delta with delta >= 2;
+# the fifth pair shares the factor x - 1 and carries trailing zeros
+GAP_PAIRS = [
+    ([1, 2, 0, 0, 0, 1], [0, 1, 0, 1]),               # x^5+2x+1, x^3+x -> 3x+1
+    ([3, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1]),         # x^7+3, x^3+1 -> x+3
+    ([5, 0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 0, 0, 1]),   # degree 4 against 8
+    ([1, 0, -1, 0, 0, 0, 0, 1], [0, -1, 0, 0, 1, 1]),  # degrees 7, 5, 4, 2: gap in step 2
+    ([-2, 2, 0, -1, 1, 0, 0], [-3, 2, 0, 1]),          # common factor x-1, trailing zeros
+    ([7, -3], [2, 0, 0, 0, 5]),                        # degree 1 against 4
+]
+
+
+@pytest.mark.parametrize("p, q", GAP_PAIRS)
+@pytest.mark.parametrize("cast", [int, float, lambda x: Fraction(x, 3)])
+def test_subresultant_prs_equals_the_determinant(p, q, cast):
+    pc, qc = [cast(x) for x in p], [cast(x) for x in q]
+    for a, b in ((pc, qc), (qc, pc)):
+        assert sylvester_resultant(a, b) == sylvester_determinant(a, b)
+
+
+sparse_coeff = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.lists(sparse_coeff, min_size=2, max_size=7),
+       q=st.lists(sparse_coeff, min_size=2, max_size=7),
+       den_p=st.integers(1, 6), den_q=st.integers(1, 6))
+def test_subresultant_prs_matches_determinant_on_random_pairs(p, q, den_p, den_q):
+    # sparse coefficients make degree gaps common; denominators exercise the
+    # scaling by L_p^deg(q) * L_q^deg(p)
+    pf = [Fraction(x, den_p) for x in p]
+    qf = [Fraction(x, den_q) for x in q]
+    assume(any(pf[1:]) and any(qf[1:]))
+    assert sylvester_resultant(pf, qf) == sylvester_determinant(pf, qf)
+    assert sylvester_resultant(qf, pf) == sylvester_determinant(qf, pf)
+
+
 def test_min_on_interval_examples():
     f2, _ = certificate_polynomials(2, 2.0)
     x, v = min_on_interval(f2, -1.0, 1.0)

@@ -4,7 +4,7 @@ PUBLIC_NAMES = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
     "TelescopingCertificate", "TrajectorySummary", "__version__",
-    "characteristic_coeffs", "classical_condition", "eta",
+    "characteristic_coeffs", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
     "scan_region", "scheme_coefficients", "stability_condition", "step",
     "sylvester_resultant", "telescoping_coefficients",
