@@ -4,24 +4,21 @@ __version__ = "0.1.0"
 
 from .coeffs import (SchemeCoefficients, eta, exact_scheme_coefficients,
                      scheme_coefficients)
-from .certificates import (CertificateReport, stability_condition,
-                           verify_certificate, verify_k5_range)
+from .certificates import (CertificateReport, stability_condition, telescoping,
+                           verify_certificate)
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
                         TrajectorySummary, initialize, run, step)
 from .polynomials import roots, sylvester_resultant
 from .stability import StabilityGrid, characteristic_coeffs, is_stable, scan_region
-from .telescoping import (TelescopingCertificate, telescoping_coefficients,
-                          telescoping_identity_check)
 
 __all__ = [
     "__version__",
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
-    "TelescopingCertificate", "TrajectorySummary",
+    "TrajectorySummary",
     "characteristic_coeffs", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
     "scan_region",
     "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",
-    "telescoping_coefficients", "telescoping_identity_check",
-    "verify_certificate", "verify_k5_range",
+    "telescoping", "verify_certificate",
 ]

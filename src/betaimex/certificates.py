@@ -18,10 +18,21 @@ several digits to cancellation once beta is large.  All exact work runs on
 Python integers: with beta = n/D and a candidate y = p/q, each value is a
 homogeneous integer form in (n, D) and (p, q) over a positive denominator, and
 the resultants come from the integer coefficient record of `coeffs`.
+
+`telescoping` turns each pairing into the energy identity behind the paper's
+stability and error estimates, for every order: with x the levels the pairing
+touches, oldest first, and E1 x / E0 x its newest / oldest all but one,
+
+    (p . x)(q . x) = |E1 x|_G^2 - |E0 x|_G^2 + (r . x)^2,
+
+where r is a spectral (Fejer-Riesz) factor of the pairing's symbol on the unit
+circle and G follows from the shift recursion of G-stability theory
+(Dahlquist 1978).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,25 +209,82 @@ def _build_report(k, beta):
 
 
 def verify_certificate(k, beta) -> CertificateReport:
-    """Run the full multiplier check for one (k, beta >= 1)."""
-    coeffs.scheme_coefficients(k, beta)  # validates k and beta, warns on admissibility
+    """Run the full multiplier check for one (k, beta).
+
+    Orders 2-4 take beta >= 1 and warn below the admissible shift; order 5
+    takes any beta in [0, 100], the range of the root-modulus claim.
+    """
+    coeffs._check_order(k)
+    if k == 5:
+        if not 0 <= beta <= 100:
+            raise ValueError(f"k=5 verification shift beta={beta} must lie within [0, 100]")
+    else:
+        coeffs._admissibility_warning(k, coeffs._check_beta(beta))
     return _build_report(k, beta)
 
 
-def verify_k5_range(betas):
-    """Fifth-order sweep over the given betas, each within [0, 100].
+# a symbol root this close to |z| = 1 counts as on the circle
+_CIRCLE_TOL = 1e-8
 
-    Values below 1 are allowed here (the root-modulus claim covers [0, 100]),
-    so the reports are built directly, without the beta >= 1 guard of the
-    public generator.  `verify --k 5` sends every shift here.
+
+def _energy_identity(p, q, deflate):
+    """(G, r) with sym(p q^T) = E1^T G E1 - E0^T G E0 + r r^T.
+
+    p and q are (integer numerators, denominator) on the same m + 1 levels,
+    oldest first.  The symbol sum_ij sym(p q^T)_ij z^(i-j) is z^-m T(z) / 2
+    over the two denominators, with T integer and palindromic; `deflate`
+    divides out its double root at z = 1 exactly and puts (z - 1) back into
+    r.  r keeps the roots outside the unit disk, scaled to the exact symbol
+    at z = -1, and G[a, b] = G[a-1, b-1] - (S - r r^T)[a, b].
     """
-    reports = []
-    for beta in betas:
-        if not 0 <= beta <= 100:
-            raise ValueError(f"k=5 verification shift beta={beta} must lie within [0, 100]")
-        b = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-        reports.append(_build_report(5, b))
-    return reports
+    (P, lp), (Q, lq) = p, q
+    m = len(P) - 1
+    T = [0] * (2 * m + 1)
+    for i, j in itertools.product(range(m + 1), repeat=2):
+        T[m + i - j] += P[i] * Q[j] + Q[i] * P[j]
+    symbol_at_minus_one = Fraction((-1) ** m * horner(T, -1), 2 * lp * lq)
+    factor = [1.0]
+    if deflate:  # T(1) = T'(1) = 0: each quotient is minus the running sums
+        for _ in range(2):
+            T = [-s for s in itertools.accumulate(T[:-1])]
+        factor = [-1.0, 1.0]
+    top = max(abs(t) for t in T)
+    T = [t / top for t in T]
+    zs = roots(T)
+    gap = np.abs(zs) - 1.0
+    if (np.abs(gap).min() <= _CIRCLE_TOL or 2 * np.count_nonzero(gap > 0) != len(zs)
+            or symbol_at_minus_one <= 0):
+        raise ValueError("the pairing's symbol is not positive on the unit circle")
+    outside, dT = zs[gap > 0], [i * t for i, t in enumerate(T)][1:]
+    for _ in range(2):  # Newton steps: the eigenvalues lose digits near the circle
+        outside = outside - horner(T, outside) / horner(dT, outside)
+    r = np.convolve(factor, np.poly(outside).real[::-1])
+    r *= math.sqrt(symbol_at_minus_one) / abs(horner(r, -1.0))
+    pf = np.array([x / lp for x in P])
+    qf = np.array([x / lq for x in Q])
+    R = (np.outer(pf, qf) + np.outer(qf, pf)) / 2 - np.outer(r, r)
+    G = np.zeros((m, m))
+    for a in range(m):
+        G[a] = -R[a, :m]
+        if a:
+            G[a, 1:] += G[a - 1, :-1]
+    return G, r
+
+
+def telescoping(k, beta):
+    """Energy identities of the (A_k, C_k) and (D_k, C_k) pairings at one shift.
+
+    Returns ((G_A, r_A), (G_D, r_D)).  (A, C) pairs a with (0, c) on the
+    k + 1 levels u^(n+1-k), ..., u^(n+1): G_A is k x k and r_A has k + 1
+    entries.  (D, C) pairs d with c on the newest k levels: G_D is
+    (k-1) x (k-1) and r_D has k entries.  Raises ValueError where a symbol
+    has a root on (within 1e-8 of) the unit circle or is negative there, so
+    no such identity with a real r exists; that is where the certificate fails.
+    """
+    coeffs._check_order(k)
+    a, _, c, d = coeffs._integer_record(k, Fraction(coeffs._check_beta(beta)))
+    return (_energy_identity(a, ([0] + c[0], c[1]), deflate=True),
+            _energy_identity(d, c, deflate=False))
 
 
 def stability_condition(k, beta, gamma):

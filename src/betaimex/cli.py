@@ -102,10 +102,7 @@ def cmd_verify(args):
         betas = _beta_grid(args.grid)
     else:
         betas = [args.beta]
-    if args.k == 5:  # one domain, beta in [0, 100], from --beta or --grid alike
-        reports = certificates.verify_k5_range(betas)
-    else:
-        reports = [certificates.verify_certificate(args.k, b) for b in betas]
+    reports = [certificates.verify_certificate(args.k, b) for b in betas]
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)
     path = os.path.join(outdir, f"verify_k{args.k}.json")

@@ -16,13 +16,13 @@ schemes.
 The implicit combination splits as b = eta * c + d with the scalar eta(k, beta)
 hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
 (beta-1)/(beta+15) for k = 2..5; this splitting is what the energy estimates
-in `certificates` and `telescoping` are built on.
+and identities in `certificates` are built on.
 
 `scheme_coefficients(k, beta)` is the one entry point: it returns the whole
 record (a, b, c, d, eta).  beta may be a float (float entries) or a Fraction
 (exact rational entries); the Fraction path backs the test oracles.  The
-certificate reports take the same exact values from `_integer_record`, as
-integer numerators over one denominator per weight set.
+certificate reports and identities take the same exact values from
+`_integer_record`, as integer numerators over one denominator per weight set.
 """
 from __future__ import annotations
 

@@ -58,6 +58,10 @@ class ExperimentConfig:
     schemes: Optional[tuple] = None  # [(k, beta), ...] for multi-scheme runs
 
     def __post_init__(self):
+        for name in ("dt", "T", "resolution"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.dt_sweep is not None:
             sweep = tuple(float(d) for d in self.dt_sweep)
             if any(d <= 0 for d in sweep):
@@ -88,14 +92,14 @@ class ConvergenceReport:
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Manufactured-solution L2 errors at T=1 over the dt sweep, with lsq slope."""
-    n = config.resolution or 40
+    n = 40 if config.resolution is None else config.resolution
     grid = sp.Grid2D(n, n, *sp.MANUFACTURED_DOMAIN)
     params = sp.MANUFACTURED_PARAMS
     L = sp.linear_symbol(params, grid)
     G = sp.nonlinear_fourier(params, grid)
     source = sp.manufactured_source_fourier(grid)
-    T = config.T or 1.0
-    dts = config.dt_sweep or CONVERGENCE_DT_SWEEP
+    T = 1.0 if config.T is None else config.T
+    dts = CONVERGENCE_DT_SWEEP if config.dt_sweep is None else config.dt_sweep
     if len(dts) < 4:
         raise ValueError("slope fit needs at least 4 dt values")
 
@@ -172,9 +176,9 @@ class RadiusReport:
 
 def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     """Shrinking-circle benchmark; radius extracted from the zero level set."""
-    n = config.resolution or (256 if config.small else 512)
-    T = config.T or (500.0 if config.small else 2000.0)
-    dt = config.dt or 0.75
+    n = (256 if config.small else 512) if config.resolution is None else config.resolution
+    T = (500.0 if config.small else 2000.0) if config.T is None else config.T
+    dt = 0.75 if config.dt is None else config.dt
     grid = _ac_grid(n)
     L = sp.linear_symbol(AC_PARAMS, grid)
     G = sp.nonlinear_fourier(AC_PARAMS, grid)
@@ -283,12 +287,9 @@ def run_cahn_hilliard(config: ExperimentConfig,
                       with_reference: bool = True) -> CahnHilliardReport:
     """Run each requested scheme at the preset step; blow-up is a verdict, not an error."""
     preset = ch_preset(config.small)
-    if config.resolution:
-        preset["n"] = config.resolution
-    if config.dt:
-        preset["dt"] = config.dt
-    if config.T:
-        preset["T"] = config.T
+    for key, value in (("n", config.resolution), ("dt", config.dt), ("T", config.T)):
+        if value is not None:
+            preset[key] = value
     schemes = config.schemes or ((2, 1.0), (3, 1.0), (4, 1.0), (3, 3.0), (4, 2.5))
     grid, params, L, G, u0 = _ch_problem(preset, config.seed)
     dt = preset["dt"]

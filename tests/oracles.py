@@ -6,7 +6,9 @@ resultant as a Sylvester determinant by Gaussian elimination in Fractions,
 the certificate report from the Fraction coefficient record with its minima
 evaluated in Fractions, the certificate polynomials f_k/h_k as float numpy
 Polynomials, the same quantities rebuilt from complex exponentials on the
-unit circle, a plain interval minimiser, the stability scan by batched
+unit circle, the closed-form (radical) telescoping expansions of the second-
+and third-order pairings with their check along a scalar sequence, the
+residual of the G-matrix identities from the rational record, a plain interval minimiser, the stability scan by batched
 companion-matrix eigensolves, the boundary locus of the stability region,
 the history sums as a loop of scaled adds, the stepper's arithmetic rebuilt
 from the raw coefficients on every call, the interface radius by a row loop,
@@ -17,6 +19,7 @@ same-gamma condition, which only the tests use.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +28,7 @@ from numpy.polynomial import Polynomial
 from betaimex import coeffs
 from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
 from betaimex.spectral import MANUFACTURED_PARAMS
-from betaimex.certificates import CertificateReport, _f_coeffs, _h_coeffs
+from betaimex.certificates import CertificateReport, _f_coeffs, _h_coeffs, telescoping
 from betaimex.polynomials import (_exact_trim, horner, real_critical_points, roots,
                                   sylvester_resultant)
 from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
@@ -197,6 +200,206 @@ def classical_condition(k, gamma):
     lhs = 1.0 - eta_t
     rhs = math.sqrt(c_t * gamma * (1.0 + eta_t ** 2))
     return lhs, rhs, lhs > rhs
+
+
+# the closed-form (radical) telescoping expansions of the second- and
+# third-order pairings.  The printed second-order coefficient set telescopes
+# twice the pairing, i.e. 2*(A_2, C_2) equals its expansion; the other three
+# expansions match their pairings one-to-one.  Every square root receives its
+# radicand through `_sqrt_checked`, so leaving the verified shift range
+# surfaces as an explicit error rather than a complex coefficient.
+
+class RadicandError(ArithmeticError):
+    """A telescoping radicand went negative: shift outside the verified range."""
+
+
+def _sqrt_checked(value, name):
+    if value < 0:
+        raise RadicandError(f"radicand {name} = {value:.6g} is negative")
+    return math.sqrt(value)
+
+
+@dataclass(frozen=True)
+class TelescopingCertificate:
+    """Closed-form telescoping coefficients for one (k, beta).
+
+    `a_form` holds the expansion of the (A_k, C_k) pairing, `d_form` the
+    (D_k, C_k) one, `intermediates` every named intermediate quantity.
+    Key names follow the closed-form derivation (a..j, hatted twins for the
+    d_form at k=3).
+    """
+
+    k: int
+    beta: float
+    a_form: dict
+    d_form: dict
+    intermediates: dict
+
+    @property
+    def leading_a(self) -> float:
+        return self.a_form["a"]
+
+    @property
+    def leading_a_hat(self) -> float:
+        if self.k == 2:
+            raise KeyError("second-order d_form has no free leading coefficient")
+        return self.d_form["a"]
+
+
+def _second_order(beta):
+    B = beta
+    delta2 = 2 * B * (2 * B + 1)
+    e2 = -_sqrt_checked(delta2, "Delta_2")
+    c2 = (-math.sqrt(2.0) + _sqrt_checked(delta2, "Delta_2")) / 2.0
+    f2 = c2
+    d2 = math.sqrt(2.0) + f2
+    E2 = -B * (2 * B - 1)
+    b2 = (E2 - 2 * e2 * f2) / (-2 * c2)
+    a2 = (3 * B + 1 - 2 * _sqrt_checked(B * (2 * B + 1), "beta(2beta+1)")) / (2 * (B + 1) ** 2)
+    a_form = {"a": a2, "b": b2, "c": c2, "d": d2, "e": e2, "f": f2}
+    # (D_2, C_2) telescopes with fixed weights: (1/beta)|u|^2 + (|u|^2 - |v|^2)/2
+    # + |u - v|^2 / 2
+    d_form = {"mass": 1.0 / B, "jump": 0.5}
+    inter = {"Delta_2": delta2, "E_2": E2}
+    return a_form, d_form, inter
+
+
+def _third_order_hat(beta):
+    B = beta
+    M = (2 * B ** 3 + 4 * B ** 2 + B + 1) / (B + 1)
+    N = (2 * B ** 2 + 2 * B - 1) ** 2 / 4.0
+    delta3 = M ** 2 - 4 * N
+    e3 = -_sqrt_checked((M - _sqrt_checked(delta3, "Delta_hat_3")) / 2.0, "(M_hat - sqrt Delta_hat_3)/2")
+    P = (B ** 3 + 2 * B ** 2 + 1) / (B + 1) - e3 ** 2
+    Q = (2 * B ** 3 + 4 * B ** 2 + B + 1) / (B + 1) - e3 ** 2
+    f3 = (-_sqrt_checked(P, "P_hat") + _sqrt_checked(Q, "Q_hat")) / 2.0
+    c3 = f3
+    d3 = _sqrt_checked(P, "P_hat") + f3
+    b3 = (B * (B - 1) + 4 * e3 * f3) / (4 * c3)
+    a3 = B ** 2 / 2.0 + 3 * B / 2.0 + 1 - b3 ** 2 - d3 ** 2
+    form = {"a": a3, "b": b3, "c": c3, "d": d3, "e": e3, "f": f3}
+    inter = {"M_hat": M, "N_hat": N, "Delta_hat_3": delta3, "P_hat": P, "Q_hat": Q}
+    return form, inter
+
+
+def _third_order(beta):
+    B = beta
+    M = 2 * B ** 4 + 6 * B ** 3 + 13 * B ** 2 / 3.0 - B / 3.0 - 1 / 3.0
+    N = -(B ** 2 / 2.0 - 1 / 6.0) * (B ** 2 / 2.0 + 3 * B / 2.0 + 1)
+    P = (_sqrt_checked(M, "M") + 1) / 2.0
+    Q = -0.5 * (B * (B ** 2 / 2.0 - 1 / 6.0) * (B + 1))
+    R = B ** 4 + 7 * B ** 3 / 2.0 + 19 * B ** 2 / 6.0 - B / 3.0 - 1
+    S = 7 * B ** 4 / 4.0 + 25 * B ** 3 / 4.0 + 17 * B ** 2 / 3.0 + B / 2.0 + 1 / 3.0
+    W = (B ** 2 / 2.0 + 3 * B / 2.0 + 1) * (B ** 2 / 2.0 + B + 1 / 3.0)
+    U = 0.5 - 79 * B ** 2 / 12.0 - 21 * B ** 3 / 4.0 - 5 * B ** 4 / 4.0 - 23 * B / 12.0
+    f3 = (_sqrt_checked(P ** 2 + 2 * N, "P^2 + 2N") + P) / 2.0
+    j3 = f3
+    g3 = f3 - P
+    i3 = -_sqrt_checked(M, "M") - g3
+    h3 = _sqrt_checked(M, "M") - f3
+    e3 = (2 * i3 * j3 - Q) / (2 * f3)
+    d3 = (R - 2 * g3 * i3) / (2 * f3)
+    c3 = _sqrt_checked(S - e3 ** 2 - g3 ** 2 - h3 ** 2, "S - e^2 - g^2 - h^2")
+    b3 = (U - 2 * d3 * e3 - 2 * g3 * h3) / (2 * c3)
+    a3 = W - g3 ** 2 - d3 ** 2 - b3 ** 2
+    form = {"a": a3, "b": b3, "c": c3, "d": d3, "e": e3, "f": f3,
+            "g": g3, "h": h3, "i": i3, "j": j3}
+    inter = {"M": M, "N": N, "P": P, "Q": Q, "R": R, "S": S, "W": W, "U": U}
+    return form, inter
+
+
+def telescoping_coefficients(k, beta) -> TelescopingCertificate:
+    """Evaluate the closed-form telescoping coefficients; k in (2, 3)."""
+    if k not in (2, 3):
+        raise coeffs.OrderError(f"telescoping closed forms exist for k in (2, 3), not k={k}")
+    beta = float(beta)
+    if beta < 1.0:
+        raise ValueError("shift beta must be >= 1")
+    if k == 2:
+        a_form, d_form, inter = _second_order(beta)
+        return TelescopingCertificate(k=2, beta=beta, a_form=a_form,
+                                      d_form=d_form, intermediates=inter)
+    d_form, hat_inter = _third_order_hat(beta)
+    a_form, inter = _third_order(beta)
+    inter.update({f"{key}_hat" if not key.endswith("_hat") else key: val
+                  for key, val in hat_inter.items()})
+    return TelescopingCertificate(k=3, beta=beta, a_form=a_form,
+                                  d_form=d_form, intermediates=inter)
+
+
+def telescoping_identity_check(k, beta, seq) -> float:
+    """Max |lhs - rhs| of both telescoping identities along a scalar sequence.
+
+    The sequence must have length >= k + 2; the residual scales with the
+    square of the sequence magnitude.
+    """
+    if k not in (2, 3):
+        raise coeffs.OrderError(f"telescoping identities exist for k in (2, 3), not k={k}")
+    seq = [float(s) for s in seq]
+    if len(seq) < k + 2:
+        raise ValueError(f"need at least {k + 2} entries, got {len(seq)}")
+    rec = coeffs.scheme_coefficients(k, beta)
+    a, b, c, d = ([float(x) for x in t] for t in (rec.a, rec.b, rec.c, rec.d))
+    cert = telescoping_coefficients(k, beta)
+    worst = 0.0
+
+    if k == 2:
+        t = cert.a_form
+        for i in range(2, len(seq)):
+            u, v, w = seq[i], seq[i - 1], seq[i - 2]
+            A = a[2] * u + a[1] * v + a[0] * w
+            C = c[1] * u + c[0] * v
+            D = d[1] * u + d[0] * v
+            rhs_a = (t["a"] * (u * u - v * v)
+                     + (t["b"] * u + t["c"] * v) ** 2 - (t["b"] * v + t["c"] * w) ** 2
+                     + (t["d"] * u + t["e"] * v + t["f"] * w) ** 2)
+            rhs_d = (u * u / beta + 0.5 * (u * u - v * v) + 0.5 * (u - v) ** 2)
+            worst = max(worst, abs(2.0 * A * C - rhs_a), abs(D * C - rhs_d))
+        return worst
+
+    t, s = cert.a_form, cert.d_form
+    for i in range(3, len(seq)):
+        u, v, w, x = seq[i], seq[i - 1], seq[i - 2], seq[i - 3]
+        A = a[3] * u + a[2] * v + a[1] * w + a[0] * x
+        C = c[2] * u + c[1] * v + c[0] * w
+        D = d[2] * u + d[1] * v + d[0] * w
+        rhs_a = (t["a"] * (u * u - v * v)
+                 + (t["b"] * u + t["c"] * v) ** 2 - (t["b"] * v + t["c"] * w) ** 2
+                 + (t["d"] * u + t["e"] * v + t["f"] * w) ** 2
+                 - (t["d"] * v + t["e"] * w + t["f"] * x) ** 2
+                 + (t["g"] * u + t["h"] * v + t["i"] * w + t["j"] * x) ** 2)
+        rhs_d = (s["a"] * (u * u - v * v)
+                 + (s["b"] * u + s["c"] * v) ** 2 - (s["b"] * v + s["c"] * w) ** 2
+                 + (s["d"] * u + s["e"] * v + s["f"] * w) ** 2)
+        worst = max(worst, abs(A * C - rhs_a), abs(D * C - rhs_d))
+    return worst
+
+
+def rounded_pairings(k, beta):
+    """((a, (0, c)), (d, c)): the weights of both pairings, exact and rounded once.
+
+    The float record's d = b - eta*c loses digits to cancellation once beta
+    is large, so the identities of `certificates.telescoping` are checked
+    against the rational record instead.
+    """
+    rec = coeffs._build(k, Fraction(beta))
+    a, c, d = (np.array([float(x) for x in w]) for w in (rec.a, rec.c, rec.d))
+    return (a, np.r_[0.0, c]), (d, c)
+
+
+def energy_identity_residual(k, beta):
+    """max |sym(p q^T) - (E1^T G E1 - E0^T G E0 + r r^T)| / max |sym(p q^T)|.
+
+    The worse of the two pairings of `certificates.telescoping(k, beta)`.
+    """
+    worst = 0.0
+    for (G, r), (p, q) in zip(telescoping(k, beta), rounded_pairings(k, beta)):
+        S = (np.outer(p, q) + np.outer(q, p)) / 2
+        E = S - np.outer(r, r)
+        E[1:, 1:] -= G
+        E[:-1, :-1] += G
+        worst = max(worst, float(np.abs(E).max() / np.abs(S).max()))
+    return worst
 
 
 def certificate_polynomials(k, beta):

@@ -12,12 +12,12 @@ import pytest
 
 from betaimex import certificates as cert
 from betaimex import coeffs
-from betaimex import telescoping as tel
 from betaimex.experiments import (ExperimentConfig, run_allen_cahn_radius,
                                   run_cahn_hilliard, run_convergence)
 from betaimex.stability import scan_region
-from oracles import (certificate_polynomials, closed_form, g4_polynomial,
-                     printed_resultants)
+from oracles import (certificate_polynomials, closed_form, energy_identity_residual,
+                     g4_polynomial, printed_resultants, telescoping_coefficients,
+                     telescoping_identity_check)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -128,7 +128,7 @@ def test_criterion_04_resultant_closed_forms():
 def test_criterion_05_fifth_order_verification():
     t0 = time.time()
     betas = [Fraction(i, 10) for i in range(1001)]  # beta = 0.0(0.1)100.0
-    reports = cert.verify_k5_range(betas)
+    reports = [cert.verify_certificate(5, b) for b in betas]
     by_beta = {round(r.beta, 10): r for r in reports}
     f_ok = all(r.min_f >= -1e-9 for r in reports if r.beta >= 1.0)
     h_hi_ok = all(r.min_h >= -1e-9 for r in reports if r.beta >= 6.5)
@@ -149,16 +149,22 @@ def test_criterion_06_telescoping_identities():
         for beta in (1.0, 2.0, 5.0, 10.0):
             for _ in range(100):
                 seq = rng.normal(size=rng.integers(k + 2, 60))
-                residual = tel.telescoping_identity_check(k, beta, seq)
+                residual = telescoping_identity_check(k, beta, seq)
                 worst = max(worst, residual / max(1.0, np.abs(seq).max()) ** 2)
     positive = True
     for beta in np.arange(1.0, 100.001, 0.5):
-        c2 = tel.telescoping_coefficients(2, float(beta))
-        c3 = tel.telescoping_coefficients(3, float(beta))
+        c2 = telescoping_coefficients(2, float(beta))
+        c3 = telescoping_coefficients(3, float(beta))
         positive &= c2.leading_a > 0 and c3.leading_a > 0 and c3.leading_a_hat > 0
+    # the G-matrix identity of every order, relative to its bound
+    route = max(energy_identity_residual(k, float(beta)) / bound
+                for k, lo, hi, bound in ((2, 1.0, 100.0, 1e-12), (3, 1.0, 100.0, 1e-12),
+                                         (4, 2.0, 10.0, 1e-12), (5, 6.5, 10.0, 1e-10))
+                for beta in np.arange(lo, hi + 1e-9, 0.5))
     elapsed = time.time() - t0
-    ok = worst <= 1e-10 and positive
-    assert _verdict(6, "telescoping identities", ok, elapsed, f"worst residual {worst:.2e}")
+    ok = worst <= 1e-10 and positive and route <= 1.0
+    assert _verdict(6, "telescoping identities", ok, elapsed,
+                    f"worst residual {worst:.2e}, G-route {route:.2e} of its bound")
 
 
 def test_criterion_07_stability_regions():

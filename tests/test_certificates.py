@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_resultants_match_printed_closed_forms(k):
         assert rep.resultant_DC == pytest.approx(float(dc_ref), rel=1e-10)
 
 
-# Fraction shifts on [1, 100]; k = 5 also below 1, where `verify_k5_range` runs
+# Fraction shifts on [1, 100]; k = 5 also below 1, which its certificate covers
 RESULTANT_BETAS = ([Fraction(n, 4) for n in range(4, 41)]
                    + [Fraction(n, 10) for n in (123, 255, 499, 731, 1000)])
 
@@ -118,12 +119,8 @@ def test_integer_record_equals_the_fraction_record(k):
 # `verify --k 2|3|4 --grid 1:100:0.1`
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_reports_equal_the_fraction_oracle(k):
-    if k == 5:
-        betas = _beta_grid("0:100:0.1")[::37]
-        reports = cert.verify_k5_range(betas)
-    else:
-        betas = _beta_grid("1:100:0.1")[::53]
-        reports = [cert.verify_certificate(k, b) for b in betas]
+    betas = _beta_grid("0:100:0.1")[::37] if k == 5 else _beta_grid("1:100:0.1")[::53]
+    reports = [cert.verify_certificate(k, b) for b in betas]
     assert reports == [fraction_report(k, b) for b in betas]
 
 
@@ -132,7 +129,7 @@ def test_k5_minima_keep_their_float_critical_points():
     # taken from correctly rounded table coefficients move each by an ulp or more
     betas = [20.3, 21.200000000000003, 15.100000000000001, 17.2, 0.9, 1.1]
     assert set(betas) <= set(_beta_grid("0:100:0.1"))
-    by_beta = {r.beta: r for r in cert.verify_k5_range(betas)}
+    by_beta = {b: cert.verify_certificate(5, b) for b in betas}
     assert by_beta[20.3].min_f.hex() == "0x1.a715b40b4de89p+7"
     assert by_beta[21.200000000000003].min_f.hex() == "0x1.a6e4415d28c1ap+7"
     assert by_beta[15.100000000000001].min_h.hex() == "0x1.43e30571d005cp-4"
@@ -163,8 +160,9 @@ def test_circle_pairings_match_certificate_polynomials(k, beta, theta):
 
 
 def test_k5_range_sampled():
-    reports = cert.verify_k5_range([0.0, 0.5, 1.0, 5.0, 6.5, 50.0, 100.0])
-    assert [r.beta for r in reports] == [0.0, 0.5, 1.0, 5.0, 6.5, 50.0, 100.0]
+    betas = [0.0, 0.5, 1.0, 5.0, 6.5, 50.0, 100.0]
+    reports = [cert.verify_certificate(5, b) for b in betas]
+    assert [r.beta for r in reports] == betas
     assert all(r.max_root_modulus_C < 1.0 for r in reports)
     by_beta = {r.beta: r for r in reports}
     assert by_beta[1.0].min_h < 0.0 and by_beta[5.0].min_h < 0.0
@@ -173,8 +171,19 @@ def test_k5_range_sampled():
 
 
 def test_k5_range_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        cert.verify_k5_range([150.0])
+    # one domain for k = 5, beta in [0, 100], whoever asks
+    for beta in (150.0, -0.5, 100.5, float("nan")):
+        with pytest.raises(ValueError, match=r"within \[0, 100\]"):
+            cert.verify_certificate(5, beta)
+
+
+def test_k5_reports_take_no_admissibility_warning():
+    # the report itself says whether beta is admissible; below 1 it is still
+    # within the range of the root-modulus claim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cert.verify_certificate(5, 0.5)
+    assert rep.beta == 0.5 and not rep.passed and rep.max_root_modulus_C < 1.0
 
 
 def test_stability_condition_examples():

@@ -95,6 +95,21 @@ def test_verify_k5_has_one_beta_domain(tmp_path, capsys):
         assert code == 1 and "[0, 100]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["allen-cahn", "--small", "--dt", "0", "--schemes", "[[2,3]]"],
+    ["allen-cahn", "--small", "--T", "0", "--schemes", "[[2,3]]"],
+    ["allen-cahn", "--small", "--resolution", "0", "--schemes", "[[2,3]]"],
+    ["cahn-hilliard", "--small", "--dt", "0", "--no-reference"],
+    ["cahn-hilliard", "--small", "--T", "-0.001", "--no-reference"],
+    ["converge", "--k", "2", "--T", "0"],
+    ["converge", "--k", "2", "--resolution", "0"],
+])
+def test_non_positive_experiment_flags_are_refused(tmp_path, capsys, argv):
+    # a zero is not "use the preset": the run would record 0 and use the default
+    code = cli.main(["--out", str(tmp_path), *argv])
+    assert code == 1 and "must be positive" in capsys.readouterr().err
+
+
 def test_converge_writes_reports(tmp_path, capsys):
     code, out = run_cli(["--out", str(tmp_path), "converge", "--k", "2", "--beta", "1",
                          "--dts", "0.05,0.025,0.0125,0.00625"], capsys)

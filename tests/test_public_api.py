@@ -3,12 +3,11 @@ import betaimex
 PUBLIC_NAMES = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
-    "TelescopingCertificate", "TrajectorySummary", "__version__",
+    "TrajectorySummary", "__version__",
     "characteristic_coeffs", "eta",
     "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
     "scan_region", "scheme_coefficients", "stability_condition", "step",
-    "sylvester_resultant", "telescoping_coefficients",
-    "telescoping_identity_check", "verify_certificate", "verify_k5_range",
+    "sylvester_resultant", "telescoping", "verify_certificate",
 ]
 
 
