@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .coeffs import (SchemeCoefficients, eta, exact_scheme_coefficients,
-                     scheme_coefficients)
+from .coeffs import SchemeCoefficients, eta, scheme_coefficients
 from .certificates import (CertificateReport, stability_condition, telescoping,
                            verify_certificate)
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
@@ -17,8 +16,7 @@ __all__ = [
     "SchemeCoefficients", "StabilityGrid",
     "TrajectorySummary",
     "characteristic_coeffs", "eta",
-    "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
-    "scan_region",
+    "initialize", "is_stable", "roots", "run", "scan_region",
     "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",
     "telescoping", "verify_certificate",
 ]

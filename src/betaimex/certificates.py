@@ -5,7 +5,8 @@ The certificate has four ingredients, all checked numerically here:
 
   * the Sylvester resultants of (A~, C~) and (D~, C~) are nonzero, so the
     characteristic polynomials share no factor;
-  * every root of C~ lies strictly inside the unit disk;
+  * every root of C~ lies strictly inside the unit disk (decided exactly by
+    the Schur-Cohn reduction; the reported modulus is a float estimate);
   * the real part of A~(z) / (z C~(z)) on the unit circle reduces, with
     y = cos(theta), to (1 - y) f_k(y) / s_k with a cubic/quartic f_k that must
     be nonnegative on [-1, 1]  (scale s_k = 1, 3, 9, 180 for k = 2..5);
@@ -41,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from . import coeffs
-from .polynomials import (_exact_trim, horner, real_critical_points, roots,
-                          sylvester_resultant)
+from .polynomials import (_exact_trim, _roots_inside_unit_disk, horner,
+                          real_critical_points, roots, sylvester_resultant)
 
 # h_k = (integer polynomial in beta) / den_k(beta); den_k ascending in beta
 _H_DENOMINATORS = {2: (0, 1), 3: (1, 1), 4: (27, 9), 5: (270, 18)}
@@ -194,10 +195,12 @@ def _build_report(k, beta):
     res_ac = _resultant(a, c)
     res_dc = _resultant(d, c)
     c_nums, c_den = c
+    # the eigensolve's modulus is the printed estimate; the verdict is exact,
+    # since the roots of C~ cluster at 1 once beta is large
     rmax = float(np.abs(roots([x / c_den for x in c_nums])).max())
     xf, min_f = _certified_min(_f_coeffs, k, beta_exact)
     xh, min_h = _certified_min(_h_coeffs, k, beta_exact)
-    passed = (res_ac != 0.0 and res_dc != 0.0 and rmax < 1.0
+    passed = (res_ac != 0.0 and res_dc != 0.0 and _roots_inside_unit_disk(c_nums)
               and min_f >= 0.0 and min_h >= 0.0)
     witness = None
     if min_f < 0.0 or min_h < 0.0:

@@ -7,11 +7,10 @@ For order k and shift beta >= 1 the scheme advances u_t + L u + G[u] = f by
         + G(sum_q c[q] * u^{n+1-k+q}) = f(t^{n+beta}),
 
 where the a-formula differentiates at t^{n+beta}, and the b- (implicit) and
-c- (explicit) formulas interpolate the value there.  Each coefficient set
-solves a Vandermonde system on the equispaced nodes beta-1, ..., beta+k-1;
-the solver below uses the Bjorck-Pereyra dual recurrence, which only ever
-divides by integer node differences.  beta = 1 recovers the classical
-schemes.
+c- (explicit) formulas interpolate the value there.  The weights are those
+of Lagrange differentiation and interpolation at beta on the equispaced
+nodes beta-1, ..., beta+k-1; `_integer_record` builds them in integers, and
+every record is read off it.  beta = 1 recovers the classical schemes.
 
 The implicit combination splits as b = eta * c + d with the scalar eta(k, beta)
 hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
@@ -19,14 +18,14 @@ hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
 and identities in `certificates` are built on.
 
 `scheme_coefficients(k, beta)` is the one entry point: it returns the whole
-record (a, b, c, d, eta).  beta may be a float (float entries) or a Fraction
-(exact rational entries); the Fraction path backs the test oracles.  The
-certificate reports and identities take the same exact values from
-`_integer_record`, as integer numerators over one denominator per weight set.
+record (a, b, c, d, eta).  beta may be a float (each entry the correctly
+rounded rational) or a Fraction (exact rational entries).  The certificate
+reports and identities take the integer record itself.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
@@ -66,36 +65,6 @@ def _check_beta(beta):
     if beta < 1.0:
         raise ValueError(f"shift beta={beta} must be >= 1")
     return beta
-
-
-def vandermonde_dual_solve(nodes, rhs):
-    """Solve sum_j x_j * nodes[j]**m = rhs[m], m = 0..n (Bjorck-Pereyra dual).
-
-    Works elementwise in whatever arithmetic the inputs carry (float or
-    Fraction); the divisions are by node differences only, which are integers
-    for the equispaced node sets used here.
-    """
-    n = len(nodes) - 1
-    if len(rhs) != n + 1:
-        raise ValueError("rhs length must match node count")
-    x = list(rhs)
-    for step in range(n):
-        for i in range(n, step, -1):
-            x[i] = x[i] - nodes[step] * x[i - 1]
-    for step in range(n - 1, -1, -1):
-        for i in range(step + 1, n + 1):
-            x[i] = x[i] / (nodes[i] - nodes[i - step - 1])
-        for i in range(step, n):
-            x[i] = x[i] - x[i + 1]
-    return x
-
-
-def _weights(nodes, row, value):
-    # weights w with sum_j w[j] * nodes[j]**m = value at m = row and 0 at the
-    # other m, listed from the last node to the first (ascending level index)
-    rhs = [0] * len(nodes)
-    rhs[row] = value
-    return vandermonde_dual_solve(nodes, rhs)[::-1]
 
 
 def eta(k, beta):
@@ -143,19 +112,6 @@ def _admissibility_warning(k, beta):
     warnings.warn(message, stacklevel=level)
 
 
-def _build(k, beta) -> SchemeCoefficients:
-    # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100]
-    # a: unit derivative (row 1, sign -1) on beta-1, ..., beta+k-1; b and c:
-    # unit value (row 0) on beta-1, ..., beta+k-2 and beta, ..., beta+k-1
-    e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-    a = _weights([beta - 1 + j for j in range(k + 1)], 1, -1)
-    b = _weights([beta - 1 + j for j in range(k)], 0, 1)
-    c = _weights([beta + j for j in range(k)], 0, 1)
-    d = [bq - e * cq for bq, cq in zip(b, c)]
-    return SchemeCoefficients(k=k, beta=beta, a=tuple(a), b=tuple(b), c=tuple(c),
-                              d=tuple(d), eta=e)
-
-
 def _lagrange_numerators(Y, derivative):
     # l_j(0) (derivative: l_j'(0)) for the nodes Y_j / D, where Y_j = Y_0 + j D,
     # times (N-1)! D^(N-1-derivative): the integer +-C(N-1, j) times coefficient
@@ -173,12 +129,12 @@ def _lagrange_numerators(Y, derivative):
 
 
 def _integer_record(k, beta):
-    """(a, b, c, d) of `_build(k, beta)` as (integer numerators, common denominator).
+    """The weights (a, b, c, d) at shift beta, each as (integer numerators, denominator).
 
-    beta = n/D is a Fraction; each denominator is positive, and each entry
-    equals the rational `_build` returns.  The weights are the Lagrange closed
-    forms on the scaled nodes n + s*D, whose differences are integer multiples
-    of D, so no rational arithmetic is needed.
+    beta = n/D is a Fraction; each denominator is positive.  The weights are
+    the Lagrange closed forms on the scaled nodes n + s*D, whose differences
+    are integer multiples of D, so no rational arithmetic is needed.  Every
+    coefficient record is read off this one.
     """
     n, D = beta.numerator, beta.denominator
     back = [n - D + j * D for j in range(k + 1)]  # D * (beta - 1 + j)
@@ -192,8 +148,19 @@ def _integer_record(k, beta):
     return (a, k * den), (b, den), (c, den), (d, den * e_den)
 
 
+def _build(k, beta) -> SchemeCoefficients:
+    # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100].
+    # A float shift gets each rational rounded once: int / int is correctly
+    # rounded
+    entry = Fraction if isinstance(beta, Fraction) else operator.truediv
+    a, b, c, d = (tuple(entry(x, den) for x in nums)
+                  for nums, den in _integer_record(k, Fraction(beta)))
+    e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
+    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=e)
+
+
 def scheme_coefficients(k, beta):
-    """Assemble (a, b, c, d, eta) by the Vandermonde route; k in 2..5."""
+    """The (a, b, c, d, eta) record of the order-k scheme at shift beta; k in 2..5."""
     _check_order(k)
     beta = _check_beta(beta)
     _admissibility_warning(k, beta)
@@ -201,5 +168,8 @@ def scheme_coefficients(k, beta):
 
 
 def exact_scheme_coefficients(k, beta):
-    """Rational-arithmetic twin of scheme_coefficients (exact test oracle)."""
+    """`scheme_coefficients(k, Fraction(beta))`.
+
+    Not exported; perfbench's `coeffs.exact_ms` probe times it.
+    """
     return scheme_coefficients(k, Fraction(beta))

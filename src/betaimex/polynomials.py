@@ -3,7 +3,8 @@
 A polynomial is a plain sequence of coefficients in ascending degree order,
 exact (int/Fraction) or float.  Root finding goes through the companion matrix
 (balanced eigensolve); resultants are computed exactly by the subresultant
-remainder sequence in integers.
+remainder sequence in integers, and whether an integer polynomial's roots
+all lie inside the unit disk by the Schur-Cohn reduction.
 """
 from __future__ import annotations
 
@@ -81,6 +82,23 @@ def _prem(a, b):
         for j in range(n):
             r[i - n + j] = r[i - n + j] * lb - f * b[j]
     return _exact_trim(r[:n])
+
+
+def _roots_inside_unit_disk(p):
+    """Whether every root of the integer polynomial p has modulus below 1, exactly.
+
+    Schur-Cohn reduction: with p_0 and p_n the end coefficients, all n roots
+    lie inside iff |p_0| < |p_n| and all n - 1 roots of
+    (p_n p(z) - p_0 z^n p(1/z)) / z do; each step divides out the content.
+    """
+    while len(p) > 1:
+        lo, hi = p[0], p[-1]
+        if abs(lo) >= abs(hi):
+            return False
+        p = [hi * x - lo * y for x, y in zip(p, reversed(p))][1:]
+        g = math.gcd(*p)
+        p = [x // g for x in p]
+    return True
 
 
 def sylvester_resultant(p, q):

@@ -2,18 +2,20 @@
 
 Each function recomputes a quantity the library produces another way: the
 printed rational closed forms of the coefficients and of the resultants, the
-resultant as a Sylvester determinant by Gaussian elimination in Fractions,
-the certificate report from the Fraction coefficient record with its minima
-evaluated in Fractions, the certificate polynomials f_k/h_k as float numpy
-Polynomials, the same quantities rebuilt from complex exponentials on the
-unit circle, the closed-form (radical) telescoping expansions of the second-
-and third-order pairings with their check along a scalar sequence, the
-residual of the G-matrix identities from the rational record, a plain interval minimiser, the stability scan by batched
-companion-matrix eigensolves, the boundary locus of the stability region,
-the history sums as a loop of scaled adds, the stepper's arithmetic rebuilt
-from the raw coefficients on every call, the interface radius by a row loop,
-the free energy from physical-space derivatives and the manufactured source
-evaluated on the grid.  It also keeps the classical
+coefficient record by Bjorck-Pereyra Vandermonde solves in the arithmetic of
+the shift (`vandermonde_record`), the resultant as a Sylvester determinant by
+Gaussian elimination in Fractions, the certificate report from the Fraction
+Vandermonde record with its minima evaluated in Fractions, the certificate
+polynomials f_k/h_k as float numpy Polynomials, the same quantities rebuilt
+from complex exponentials on the unit circle, the closed-form (radical)
+telescoping expansions of the second- and third-order pairings with their
+check along a scalar sequence, the residual of the G-matrix identities
+against the Vandermonde record, a plain interval minimiser, the stability
+scan by batched companion-matrix eigensolves, the boundary locus of the
+stability region, the history sums as a loop of scaled adds, the stepper's
+arithmetic rebuilt from the raw coefficients on every call, the interface
+radius by a row loop, the free energy from physical-space derivatives and
+the manufactured source evaluated on the grid.  It also keeps the classical
 same-gamma condition, which only the tests use.
 """
 from __future__ import annotations
@@ -80,6 +82,54 @@ def closed_form(k, beta):
              (B ** 2 + 3 * B + 2) / 6)
     e = (B - 1) / (B + coeffs.ETA_DENOMINATOR_OFFSET[k])
     return coeffs.SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=e)
+
+
+def vandermonde_dual_solve(nodes, rhs):
+    """Solve sum_j x_j * nodes[j]**m = rhs[m], m = 0..n (Bjorck-Pereyra dual).
+
+    Works elementwise in whatever arithmetic the inputs carry (float or
+    Fraction); the divisions are by node differences only, which are integers
+    for the equispaced node sets used here.
+    """
+    n = len(nodes) - 1
+    if len(rhs) != n + 1:
+        raise ValueError("rhs length must match node count")
+    x = list(rhs)
+    for step in range(n):
+        for i in range(n, step, -1):
+            x[i] = x[i] - nodes[step] * x[i - 1]
+    for step in range(n - 1, -1, -1):
+        for i in range(step + 1, n + 1):
+            x[i] = x[i] / (nodes[i] - nodes[i - step - 1])
+        for i in range(step, n):
+            x[i] = x[i] - x[i + 1]
+    return x
+
+
+def _weights(nodes, row, value):
+    # weights w with sum_j w[j] * nodes[j]**m = value at m = row and 0 at the
+    # other m, listed from the last node to the first (ascending level index)
+    rhs = [0] * len(nodes)
+    rhs[row] = value
+    return vandermonde_dual_solve(nodes, rhs)[::-1]
+
+
+def vandermonde_record(k, beta):
+    """`coeffs._build(k, beta)` by Bjorck-Pereyra Vandermonde solves (Math. Comp. 1970).
+
+    Each weight set solves its Vandermonde system on the equispaced nodes in
+    the arithmetic of beta (float or Fraction), dividing only by integer node
+    differences.  No beta >= 1 guard, like `_build`.
+    """
+    # a: unit derivative (row 1, sign -1) on beta-1, ..., beta+k-1; b and c:
+    # unit value (row 0) on beta-1, ..., beta+k-2 and beta, ..., beta+k-1
+    e = (beta - 1) / (beta + coeffs.ETA_DENOMINATOR_OFFSET[k])
+    a = _weights([beta - 1 + j for j in range(k + 1)], 1, -1)
+    b = _weights([beta - 1 + j for j in range(k)], 0, 1)
+    c = _weights([beta + j for j in range(k)], 0, 1)
+    d = [bq - e * cq for bq, cq in zip(b, c)]
+    return coeffs.SchemeCoefficients(k=k, beta=beta, a=tuple(a), b=tuple(b), c=tuple(c),
+                                     d=tuple(d), eta=e)
 
 
 def printed_resultants(k, B):
@@ -164,9 +214,9 @@ def _fraction_min(coeff_fn, k, beta):
 
 
 def fraction_report(k, beta):
-    """`certificates._build_report` from the `Fraction` record, in `Fraction`s."""
+    """`certificates._build_report` from the `Fraction` Vandermonde record, in `Fraction`s."""
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    rec = coeffs._build(k, beta_exact)
+    rec = vandermonde_record(k, beta_exact)
     # exact resultants: float arithmetic loses too many digits to the massive
     # cancellation in them once beta is large
     res_ac = float(sylvester_resultant(rec.a, rec.c))
@@ -378,11 +428,10 @@ def telescoping_identity_check(k, beta, seq) -> float:
 def rounded_pairings(k, beta):
     """((a, (0, c)), (d, c)): the weights of both pairings, exact and rounded once.
 
-    The float record's d = b - eta*c loses digits to cancellation once beta
-    is large, so the identities of `certificates.telescoping` are checked
-    against the rational record instead.
+    They come from the `Fraction` Vandermonde record, not from the integer
+    record that `certificates.telescoping` builds its identities from.
     """
-    rec = coeffs._build(k, Fraction(beta))
+    rec = vandermonde_record(k, Fraction(beta))
     a, c, d = (np.array([float(x) for x in w]) for w in (rec.a, rec.c, rec.d))
     return (a, np.r_[0.0, c]), (d, c)
 

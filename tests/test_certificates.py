@@ -14,7 +14,8 @@ from betaimex.polynomials import sylvester_resultant
 from betaimex.cli import _beta_grid
 from oracles import (ETA_TILDE, F_SCALE, certificate_polynomials, circle_pairing_f,
                      circle_pairing_h, classical_condition, fraction_report,
-                     g4_polynomial, printed_resultants, sylvester_determinant)
+                     g4_polynomial, printed_resultants, sylvester_determinant,
+                     vandermonde_record)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -73,7 +74,7 @@ def test_report_fields_second_order():
 def test_resultants_match_printed_closed_forms(k):
     for beta in BETA_GRID:
         B = Fraction(beta)
-        rec = coeffs.exact_scheme_coefficients(k, B)
+        rec = coeffs.scheme_coefficients(k, B)
         ac = sylvester_resultant(list(rec.a), list(rec.c))
         dc = sylvester_resultant(list(rec.d), list(rec.c))
         ac_ref, dc_ref = printed_resultants(k, B)
@@ -108,7 +109,8 @@ def test_integer_record_equals_the_fraction_record(k):
         rng.uniform(0.0, 100.0) for _ in range(20))
     for beta in betas:
         B = Fraction(beta)
-        rec = coeffs._build(k, B)
+        rec = vandermonde_record(k, B)
+        assert coeffs._build(k, B) == rec
         integer = coeffs._integer_record(k, B)
         for ref, (nums, den) in zip((rec.a, rec.b, rec.c, rec.d), integer):
             assert den > 0 and all(type(x) is int for x in nums)
@@ -139,7 +141,7 @@ def test_k5_minima_keep_their_float_critical_points():
 
 
 def test_k5_printed_resultant_example():
-    rec = coeffs.exact_scheme_coefficients(5, Fraction(1))
+    rec = coeffs.scheme_coefficients(5, Fraction(1))
     assert sylvester_resultant(list(rec.d), list(rec.c)) == 1
 
 

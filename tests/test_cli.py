@@ -37,6 +37,14 @@ def test_coeffs_exact_csv(capsys):
     assert Fraction(values[("eta", "")]) == Fraction(1, 5)
 
 
+def test_coeffs_prints_correctly_rounded_splitting_weights(capsys):
+    # d[1] = -47/48, which b - eta*c formed in floats misses in the 12th digit
+    code, out = run_cli(["coeffs", "--k", "3", "--beta", "95"], capsys)
+    assert code == 0
+    assert json.loads(out)["d"][1] == -0.9791666666666666 == float(Fraction(-47, 48))
+    assert "-0.9791666666666666," in out
+
+
 def test_coeffs_output_is_deterministic(capsys):
     _, first = run_cli(["coeffs", "--k", "4", "--beta", "2.5"], capsys)
     _, second = run_cli(["coeffs", "--k", "4", "--beta", "2.5"], capsys)
@@ -70,6 +78,16 @@ def test_verify_exit_codes_and_records(tmp_path, capsys):
     records = json.loads((tmp_path / "verify_k4.json").read_text())
     assert records[0]["pass"] is False
     assert records[0]["min_h"] == pytest.approx(-0.31556515, rel=1e-6)
+
+
+@pytest.mark.parametrize("k,beta", [(4, "1e6"), (3, "1e9"), (2, "1e16")])
+def test_verify_passes_when_the_explicit_roots_crowd_the_circle(tmp_path, capsys, k, beta):
+    # the roots of C~ lie within 1e-6 .. 1e-16 of |z| = 1, so the eigensolve
+    # may report a modulus of 1 or more; the verdict comes from Schur-Cohn
+    code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", str(k), "--beta", beta], capsys)
+    assert code == 0
+    record, = json.loads((tmp_path / f"verify_k{k}.json").read_text())
+    assert record["pass"] is True and record["failure_witness"] is None
 
 
 def test_verify_grid_ordered_by_beta(tmp_path, capsys):

@@ -10,7 +10,7 @@ from betaimex import coeffs
 from betaimex.certificates import verify_certificate
 from betaimex.integrate import ProblemSpec, initialize
 from betaimex.stability import scan_region
-from oracles import closed_form
+from oracles import closed_form, vandermonde_record
 
 BETA_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 
@@ -59,6 +59,7 @@ def test_split_examples():
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("beta", BETA_GRID)
 def test_vandermonde_matches_closed_form(k, beta):
+    # the float record against the printed closed forms
     vd = coeffs.scheme_coefficients(k, beta)
     cf = closed_form(k, beta)
     for name in ("a", "b", "c", "d"):
@@ -73,9 +74,10 @@ def test_closed_form_exactly_matches_rational_vandermonde(k):
     # the two routes agree as rational numbers, not merely to tolerance
     for beta in (1, Fraction(3, 2), 2, 3, 5, 10):
         cf = closed_form(k, Fraction(beta))
-        vd = coeffs.exact_scheme_coefficients(k, Fraction(beta))
-        assert cf.a == vd.a and cf.b == vd.b and cf.c == vd.c
-        assert cf.d == vd.d and cf.eta == vd.eta
+        for vd in (coeffs.scheme_coefficients(k, Fraction(beta)),
+                   vandermonde_record(k, Fraction(beta))):
+            assert cf.a == vd.a and cf.b == vd.b and cf.c == vd.c
+            assert cf.d == vd.d and cf.eta == vd.eta
 
 
 @pytest.mark.parametrize("k", coeffs.ORDERS)
@@ -117,11 +119,21 @@ def test_difference_formulas_exact_on_monomials(k, beta):
 def test_float_path_tracks_exact_path(k, num, den):
     beta = 1 + Fraction(num, den)
     rec = coeffs.scheme_coefficients(k, float(beta))
-    ex = coeffs.exact_scheme_coefficients(k, beta)
+    ex = coeffs.scheme_coefficients(k, beta)
     for name in ("a", "b", "c"):
         got = np.asarray(getattr(rec, name), dtype=float)
         want = np.array([float(x) for x in getattr(ex, name)])
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k", coeffs.ORDERS)
+def test_float_entries_are_the_correctly_rounded_rationals(k):
+    # d = b - eta*c included, which cancels to about 12 digits if formed in floats
+    for beta in (1.0, 2.5, 7.0, 50.3, 85.0, 95.0, 100.0):
+        rec = coeffs.scheme_coefficients(k, beta)
+        exact = vandermonde_record(k, Fraction(beta))
+        for name in ("a", "b", "c", "d"):
+            assert getattr(rec, name) == tuple(float(x) for x in getattr(exact, name))
 
 
 def test_rejects_bad_orders_and_shifts():

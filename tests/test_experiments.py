@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from betaimex.experiments import (CH_DESK, CH_FULL, ExperimentConfig,
-                                  ch_initial_state, ch_preset, run_cahn_hilliard,
-                                  run_convergence, theory_radius)
+                                  ch_initial_state, ch_preset, run_allen_cahn_radius,
+                                  run_cahn_hilliard, run_convergence, theory_radius)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -48,16 +48,18 @@ def test_seeded_start_is_reproducible():
 
 
 # Tolerance classes of the solver.  Robust runs agree to a stated tolerance:
-# `run_convergence` errors at the default 40^2 / 1/80..1/1280 sweep, recorded
-# while the history sums were still three loops of scaled adds (commit
-# 25119b8).  Reordering those sums moved them by at most 1.2e-13.
+# `run_convergence` errors at the default 40^2 / 1/80..1/1280 sweep.  (2, 3)
+# and (3, 3) were recorded while the history sums were still three loops of
+# scaled adds (commit 25119b8); reordering those sums moved them by at most
+# 1.2e-13.  (4, 5) was recorded once every float coefficient became the
+# correctly rounded rational, which moved its errors by up to 8.4e-12.
 ROBUST_CONVERGENCE = {
     (2, 3.0): ((0.0017972519224003457, 0.00045657014245249555, 0.00011510907358740983,
                 2.8902323737430955e-05, 7.2414902660027055e-06), 1.9892159729523722),
     (3, 3.0): ((0.0001863935138315499, 2.7900160807394938e-05, 3.8102222558262683e-06,
                 4.976145942796202e-07, 6.357306385759774e-08), 2.8844397663742005),
-    (4, 5.0): ((3.1798697995854976e-06, 2.0397798450277911e-07, 1.2926694054805353e-08,
-                8.061299184198104e-10, 5.663549672146614e-11), 3.953698859388424),
+    (4, 5.0): ((3.179870557003636e-06, 2.03979726698163e-07, 1.2930917447808388e-08,
+                8.145514121854461e-10, 5.134024039578474e-11), 3.980524122006328),
 }
 
 
@@ -67,6 +69,32 @@ def test_robust_class_convergence_errors_are_pinned(k, beta):
     rep = run_convergence(ExperimentConfig(name="converge", k=k, beta=beta))
     assert np.abs(np.subtract(rep.errors, errors)).max() <= 1e-12
     assert abs(rep.slope - slope) <= 1e-3
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 5.0])
+def test_fourth_order_errors_fall_sixteenfold_per_halving(beta):
+    # with the weights rounded once, every halving of dt gains at least 15 of
+    # the ideal 16, down to dt = 1/1280 where the error is near 1e-11
+    errors = run_convergence(ExperimentConfig(name="converge", k=4, beta=beta)).errors
+    assert min(e0 / e1 for e0, e1 in zip(errors, errors[1:])) >= 15.0
+
+
+# Allen-Cahn desk runs of the robust class (256^2, dt = 0.75, T = 500):
+# max_relative_deviation and the last radius, recorded at commit 4bb0aec.
+ROBUST_ALLEN_CAHN = {
+    (2, 3.0): (0.00019106867574606668, 94.85899930274678),
+    (3, 3.0): (0.00019106867574606668, 94.85639189761156),
+}
+
+
+@pytest.mark.parametrize("k,beta", sorted(ROBUST_ALLEN_CAHN))
+def test_robust_class_allen_cahn_radius_is_pinned(k, beta):
+    deviation, last_radius = ROBUST_ALLEN_CAHN[(k, beta)]
+    rep = run_allen_cahn_radius(ExperimentConfig(name="allen-cahn", k=k, beta=beta,
+                                                 small=True))
+    assert not rep.diverged
+    assert rep.max_relative_deviation == pytest.approx(deviation, rel=1e-12, abs=0)
+    assert rep.radius[-1] == pytest.approx(last_radius, rel=1e-12, abs=0)
 
 
 # Sensitive runs amplify last-bit changes, so they keep verdicts and exact

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from betaimex import coeffs
-from betaimex.polynomials import real_critical_points, roots, sylvester_resultant
+from betaimex.polynomials import (_roots_inside_unit_disk, real_critical_points, roots,
+                                  sylvester_resultant)
 from oracles import (certificate_polynomials, min_on_interval, sylvester_determinant,
                      sylvester_matrix)
 
@@ -59,14 +60,37 @@ def test_sylvester_common_root_gives_zero():
 
 def test_sylvester_matches_printed_second_order_value():
     for beta in (1, 2, 5, Fraction(7, 2)):
-        rec = coeffs.exact_scheme_coefficients(2, Fraction(beta))
+        rec = coeffs.scheme_coefficients(2, Fraction(beta))
         assert sylvester_resultant(list(rec.a), list(rec.c)) == Fraction(-1, 2)
         assert sylvester_resultant(list(rec.d), list(rec.c)) == Fraction(-1)
 
 
 def test_sylvester_printed_fourth_order_example():
-    rec = coeffs.exact_scheme_coefficients(4, Fraction(2))
+    rec = coeffs.scheme_coefficients(4, Fraction(2))
     assert sylvester_resultant(list(rec.d), list(rec.c)) == Fraction(-16)
+
+
+def test_unit_disk_check_on_and_outside_the_circle():
+    assert _roots_inside_unit_disk([1, -2])  # 1/2
+    assert _roots_inside_unit_disk([1, 0, 4])  # +-i/2
+    assert _roots_inside_unit_disk([0, 0, 3])  # double root at 0
+    assert _roots_inside_unit_disk([7])  # no roots
+    assert not _roots_inside_unit_disk([-1, 0, 1])  # +-1
+    assert not _roots_inside_unit_disk([1, 1])  # -1
+    assert not _roots_inside_unit_disk([1, 0, 1])  # +-i
+    assert not _roots_inside_unit_disk([2, -3, 1])  # 1 and 2
+    assert not _roots_inside_unit_disk([-2, 1])  # 2
+    # (4z - 1)(z - 1): one root inside, one on the circle
+    assert not _roots_inside_unit_disk([1, -5, 4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=6))
+def test_unit_disk_check_matches_the_root_moduli(p):
+    assume(p[-1] != 0)
+    mods = np.abs(roots(p))
+    assume(np.abs(mods - 1.0).min() > 1e-3)
+    assert _roots_inside_unit_disk(p) == bool(mods.max() < 1.0)
 
 
 def test_sylvester_matrix_shape():

@@ -5,7 +5,7 @@ PUBLIC_NAMES = [
     "SchemeCoefficients", "StabilityGrid",
     "TrajectorySummary", "__version__",
     "characteristic_coeffs", "eta",
-    "exact_scheme_coefficients", "initialize", "is_stable", "roots", "run",
+    "initialize", "is_stable", "roots", "run",
     "scan_region", "scheme_coefficients", "stability_condition", "step",
     "sylvester_resultant", "telescoping", "verify_certificate",
 ]
