@@ -8,17 +8,20 @@ The certificate has four ingredients, all checked numerically here:
   * every root of C~ lies strictly inside the unit disk (decided exactly by
     the Schur-Cohn reduction; the reported modulus is a float estimate);
   * the real part of A~(z) / (z C~(z)) on the unit circle reduces, with
-    y = cos(theta), to (1 - y) f_k(y) / s_k with a cubic/quartic f_k that must
+    y = cos(theta), to (1 - y) f_k(y) / s_k with f_k of degree k - 1 that must
     be nonnegative on [-1, 1]  (scale s_k = 1, 3, 9, 180 for k = 2..5);
-  * likewise Re[D~(z)/C~(z)] reduces to h_k(y) >= 0 on [-1, 1].
+  * likewise Re[D~(z) C~(1/z)] reduces to h_k(y) >= 0 on [-1, 1].
 
-f_k and h_k are evaluated from their rational closed forms.  The interval
-minima take their candidates from the float critical points and their values
-exactly, because the raw double-precision values of these polynomials lose
-several digits to cancellation once beta is large.  All exact work runs on
-Python integers: with beta = n/D and a candidate y = p/q, each value is a
-homogeneous integer form in (n, D) and (p, q) over a positive denominator, and
-the resultants come from the integer coefficient record of `coeffs`.
+All exact work runs on Python integers, from the integer coefficient record
+of `coeffs`: the resultants, the root condition, and f_k and h_k, which are
+the pairings that `telescoping` factors (a with (0, c), and d with c) written
+in y.  Each is the pairing's palindromic symbol expanded in Chebyshev
+polynomials, with 1 - y divided out exactly for f_k: integer coefficients
+over one positive denominator.  The interval minima take their candidates
+from the float critical points of the correctly rounded coefficients and
+their values exactly, as homogeneous integer forms in y = p/q, because the
+raw double-precision values of these polynomials lose several digits to
+cancellation once beta is large.
 
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
@@ -32,7 +35,6 @@ circle and G follows from the shift recursion of G-stability theory
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,79 +47,48 @@ from . import coeffs
 from .polynomials import (_exact_trim, _roots_inside_unit_disk, horner,
                           real_critical_points, roots, sylvester_resultant)
 
-# h_k = (integer polynomial in beta) / den_k(beta); den_k ascending in beta
-_H_DENOMINATORS = {2: (0, 1), 3: (1, 1), 4: (27, 9), 5: (270, 18)}
-# beta at which the integer tables are read off as signed base-2^64 digits;
-# every table entry is far below 2^63 in magnitude
-_KRONECKER_BETA = 2 ** 64
+# s_k: the (A, C) pairing is (1 - y) f_k(y) / s_k on the unit circle
+_F_SCALE = {2: 1, 3: 3, 4: 9, 5: 180}
+# Chebyshev polynomials T_s, ascending: cos(s theta) = T_s(cos theta)
+_CHEBYSHEV = ((1,), (0, 1), (-1, 0, 2), (0, -3, 0, 4), (1, 0, -8, 0, 8),
+              (0, 5, 0, -20, 0, 16))
 
 
-def _f_coeffs(k, B):
-    if k == 2:
-        return [2 * B ** 2 + B + 1, -2 * B ** 2 - B + 1]
-    if k == 3:
-        return [3 * B ** 4 + 9 * B ** 3 + 8 * B ** 2 + 2 * B + 4,
-                -6 * B ** 4 - 18 * B ** 3 - 13 * B ** 2 + B + 4,
-                3 * B ** 4 + 9 * B ** 3 + 5 * B ** 2 - 3 * B - 2]
-    if k == 4:
-        return [2 * B ** 6 + 15 * B ** 5 + 39 * B ** 4 + 39 * B ** 3 + 10 * B ** 2 + 15,
-                -6 * B ** 6 - 45 * B ** 5 - 117 * B ** 4 - 116 * B ** 3 - 21 * B ** 2 + 17 * B + 9,
-                6 * B ** 6 + 45 * B ** 5 + 117 * B ** 4 + 115 * B ** 3 + 12 * B ** 2 - 34 * B - 12,
-                -2 * B ** 6 - 15 * B ** 5 - 39 * B ** 4 - 38 * B ** 3 - B ** 2 + 17 * B + 6]
-    if k == 5:
-        return [5 * B ** 8 + 70 * B ** 7 + 380 * B ** 6 + 990 * B ** 5 + 1189 * B ** 4 + 344 * B ** 3 - 410 * B ** 2 - 168 * B + 336,
-                -20 * B ** 8 - 280 * B ** 7 - 1530 * B ** 6 - 4060 * B ** 5 - 5136 * B ** 4 - 2072 * B ** 3 + 1070 * B ** 2 + 652 * B + 36,
-                30 * B ** 8 + 420 * B ** 7 + 2310 * B ** 6 + 6240 * B ** 5 + 8244 * B ** 4 + 3932 * B ** 3 - 1260 * B ** 2 - 1340 * B - 204,
-                -20 * B ** 8 - 280 * B ** 7 - 1550 * B ** 6 - 4260 * B ** 5 - 5836 * B ** 4 - 3024 * B ** 3 + 950 * B ** 2 + 1396 * B + 336,
-                5 * B ** 8 + 70 * B ** 7 + 390 * B ** 6 + 1090 * B ** 5 + 1539 * B ** 4 + 820 * B ** 3 - 350 * B ** 2 - 540 * B - 144]
-    raise coeffs.OrderError(f"no certificate polynomial for k={k}")
+def _pairing_symbol(P, Q):
+    """T[m], ..., T[2m]: the upper half of the pairing's integer symbol T.
 
-
-def _h_coeffs(k, B):
-    if k == 2:
-        return [1 + 1 / B, -(B ** 0)]
-    if k == 3:
-        return [(B ** 3 + 2 * B ** 2 + 1) / (B + 1),
-                -2 * B ** 2 - 2 * B + 1,
-                B ** 2 + B]
-    if k == 4:
-        return [(2 * B ** 6 + 15 * B ** 5 + 35 * B ** 4 + 15 * B ** 3 - 37 * B ** 2 - 39 * B + 9) / (9 * (B + 3)),
-                (-6 * B ** 5 - 27 * B ** 4 - 30 * B ** 3 + 9 * B ** 2 + 18 * B + 9) / 9,
-                (2 * B ** 5 + 9 * B ** 4 + 12 * B ** 3 + 3 * B ** 2 - 2 * B) / 3,
-                -(B * (B + 1) ** 2 * (2 * B ** 2 + 5 * B + 2)) / 9]
-    if k == 5:
-        den = 18 * (B + 15)
-        return [(6 * B ** 8 + 73 * B ** 7 + 322 * B ** 6 + 571 * B ** 5 + 91 * B ** 4 - 926 * B ** 3 - 995 * B ** 2 - 312 * B + 18) / den,
-                -(24 * B ** 8 + 292 * B ** 7 + 1314 * B ** 6 + 2527 * B ** 5 + 1203 * B ** 4 - 2405 * B ** 3 - 3117 * B ** 2 - 1008 * B - 270) / den,
-                (B * (12 * B ** 7 + 146 * B ** 6 + 670 * B ** 5 + 1385 * B ** 4 + 1021 * B ** 3 - 553 * B ** 2 - 1127 * B - 402)) * 3 / den,
-                -(B * (24 * B ** 7 + 292 * B ** 6 + 1366 * B ** 5 + 3013 * B ** 4 + 2881 * B ** 3 + 193 * B ** 2 - 1391 * B - 618)) / den,
-                (B * (B ** 2 + 3 * B + 2) ** 2 * (6 * B ** 3 + 37 * B ** 2 + 48 * B - 27)) / den]
-    raise coeffs.OrderError(f"no certificate polynomial for k={k}")
-
-
-@functools.cache
-def _exact_table(coeff_fn, k):
-    """coeff_fn(k, beta) as (rows, den): integer polynomials in beta over den(beta).
-
-    rows[j] holds the coefficients of y^j, ascending in beta and padded to
-    one length.  Read off from one exact evaluation at beta = 2^64 (Kronecker
-    substitution), on first use.
+    P and Q are integer weights on the same m + 1 levels, oldest first, and
+    sum_ij (P_i Q_j + Q_i P_j) z^(i-j) = z^-m T(z); T is palindromic,
+    T[m - s] = T[m + s].
     """
-    den = (1,) if coeff_fn is _f_coeffs else _H_DENOMINATORS[k]
-    beta = Fraction(_KRONECKER_BETA)
-    scale = horner(den, beta)
-    half = _KRONECKER_BETA // 2
-    rows = []
-    for value in coeff_fn(k, beta):
-        v = (value * scale).numerator  # den(beta) clears every denominator
-        row = []
-        while v:
-            digit = (v + half) % _KRONECKER_BETA - half
-            row.append(digit)
-            v = (v - digit) // _KRONECKER_BETA
-        rows.append(row)
-    width = max(len(r) for r in rows)
-    return tuple(tuple(r + [0] * (width - len(r))) for r in rows), den
+    m = len(P) - 1
+    return [sum(P[i] * Q[i - s] + Q[i] * P[i - s] for i in range(s, m + 1))
+            for s in range(m + 1)]
+
+
+def _on_circle(half):
+    # z^-m T(z) at z = e^(i theta) in y = cos(theta): T[m] + sum_s 2 T[m+s] T_s(y)
+    out = [half[0]] + [0] * (len(half) - 1)
+    for s, t in enumerate(half[1:], 1):
+        t *= 2
+        for j, x in enumerate(_CHEBYSHEV[s]):
+            out[j] += t * x
+    return out
+
+
+def _certificate_polynomials(k, a, c, d):
+    """(f_k, h_k) at one shift from the integer record's a, c and d.
+
+    Each is (integer coefficients in y, ascending; positive denominator).  The
+    (A, C) pairing of a with (0, c) is (1 - y) f_k(y) / s_k on the unit circle,
+    the (D, C) pairing of d with c is h_k(y).
+    """
+    (a_nums, la), (c_nums, lc), (d_nums, ld) = a, c, d
+    # the (A, C) pairing vanishes at y = 1: its quotient by 1 - y is the
+    # running sums of all coefficients but the last
+    pairing = _on_circle(_pairing_symbol(a_nums, [0] + c_nums))
+    f = [_F_SCALE[k] * x for x in itertools.accumulate(pairing[:-1])]
+    return (f, 2 * la * lc), (_on_circle(_pairing_symbol(d_nums, c_nums)), 2 * ld * lc)
 
 
 def _homogeneous(poly, p, q):
@@ -129,28 +100,25 @@ def _homogeneous(poly, p, q):
     return acc
 
 
-def _certified_min(coeff_fn, k, beta):
-    """Minimum over [-1, 1]: float critical points, exact values in integers.
+def _certified_min(nums, den):
+    """Minimum of nums / den over [-1, 1]: float critical points, exact values.
 
-    With beta = n/D and y = p/q the value is S(p, q) / q^d times the positive
-    factor D^deg(den) / (D^e * den(n, D)) shared by every candidate, so the
-    candidates compare by cross-multiplication and the minimum is one
-    correctly rounded integer division, as float(Fraction) would give.
+    The critical points come from the correctly rounded coefficients x / den.
+    With d = len(nums) - 1 a candidate y = p/q has the value S(p, q) / (q^d den),
+    S the homogeneous integer form, so the candidates compare by
+    cross-multiplication and the minimum is one correctly rounded integer
+    division, as float(Fraction) would give.
     """
-    critical = real_critical_points(coeff_fn(k, float(beta)))
+    critical = real_critical_points([x / den for x in nums])
     candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
-    rows, den = _exact_table(coeff_fn, k)
-    n, D = beta.numerator, beta.denominator
-    form = [_homogeneous(r, n, D) for r in rows]
-    d = len(form) - 1
+    d = len(nums) - 1
     best_x, best_s, best_w = None, None, None
     for x in sorted(candidates):
         p, q = x.as_integer_ratio()
-        s, w = _homogeneous(form, p, q), q ** d
+        s, w = _homogeneous(nums, p, q), q ** d
         if best_x is None or s * best_w < best_s * w:
             best_x, best_s, best_w = x, s, w
-    scale = best_w * D ** (len(rows[0]) - len(den)) * _homogeneous(den, n, D)
-    return best_x, best_s / scale
+    return best_x, best_s / (best_w * den)
 
 
 def _resultant(p, q):
@@ -198,8 +166,9 @@ def _build_report(k, beta):
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large
     rmax = float(np.abs(roots([x / c_den for x in c_nums])).max())
-    xf, min_f = _certified_min(_f_coeffs, k, beta_exact)
-    xh, min_h = _certified_min(_h_coeffs, k, beta_exact)
+    f, h = _certificate_polynomials(k, a, c, d)
+    xf, min_f = _certified_min(*f)
+    xh, min_h = _certified_min(*h)
     passed = (res_ac != 0.0 and res_dc != 0.0 and _roots_inside_unit_disk(c_nums)
               and min_f >= 0.0 and min_h >= 0.0)
     witness = None
@@ -242,9 +211,8 @@ def _energy_identity(p, q, deflate):
     """
     (P, lp), (Q, lq) = p, q
     m = len(P) - 1
-    T = [0] * (2 * m + 1)
-    for i, j in itertools.product(range(m + 1), repeat=2):
-        T[m + i - j] += P[i] * Q[j] + Q[i] * P[j]
+    half = _pairing_symbol(P, Q)
+    T = half[:0:-1] + half
     symbol_at_minus_one = Fraction((-1) ** m * horner(T, -1), 2 * lp * lq)
     factor = [1.0]
     if deflate:  # T(1) = T'(1) = 0: each quotient is minus the running sums

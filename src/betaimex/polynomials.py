@@ -192,7 +192,7 @@ def _real_roots_cubic(c0, c1, c2, c3):
 
 
 def real_critical_points(coeffs):
-    """Real roots of p', in closed form up to cubic derivatives, else via companion."""
+    """Real roots of p' in closed form; p' may be at most cubic."""
     c = _trim(coeffs)
     dc = _trim([i * x for i, x in enumerate(c)][1:])
     deg = len(dc) - 1
@@ -204,5 +204,4 @@ def real_critical_points(coeffs):
         return _real_roots_quadratic(*dc)
     if deg == 3:
         return _real_roots_cubic(*dc)
-    rts = roots(dc)
-    return [r.real for r in rts if abs(r.imag) < 1e-9 * max(1.0, abs(r))]
+    raise ValueError(f"p' has degree {deg}; closed forms cover at most cubic p'")

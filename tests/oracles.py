@@ -4,13 +4,17 @@ Each function recomputes a quantity the library produces another way: the
 printed rational closed forms of the coefficients and of the resultants, the
 coefficient record by Bjorck-Pereyra Vandermonde solves in the arithmetic of
 the shift (`vandermonde_record`), the resultant as a Sylvester determinant by
-Gaussian elimination in Fractions, the certificate report from the Fraction
-Vandermonde record with its minima evaluated in Fractions, the certificate
-polynomials f_k/h_k as float numpy Polynomials, the same quantities rebuilt
-from complex exponentials on the unit circle, the closed-form (radical)
+Gaussian elimination in Fractions, the paper's printed certificate
+polynomials f_k/h_k (`_f_coeffs`, `_h_coeffs`; the library derives them from
+the coefficient record), the certificate report from the Fraction
+Vandermonde record and the printed polynomials, with its minima evaluated and
+its root condition decided (Schur's reduction) in Fractions, f_k/h_k as
+float numpy Polynomials, the same quantities rebuilt from complex
+exponentials on the unit circle, the closed-form (radical)
 telescoping expansions of the second- and third-order pairings with their
 check along a scalar sequence, the residual of the G-matrix identities
-against the Vandermonde record, a plain interval minimiser, the stability
+against the Vandermonde record, a plain interval minimiser (companion-matrix
+critical points once the derivative is above cubic), the stability
 scan by batched companion-matrix eigensolves, the boundary locus of the
 stability region, the history sums as a loop of scaled adds, the stepper's
 arithmetic rebuilt from the raw coefficients on every call, the interface
@@ -30,7 +34,7 @@ from numpy.polynomial import Polynomial
 from betaimex import coeffs
 from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
 from betaimex.spectral import MANUFACTURED_PARAMS
-from betaimex.certificates import CertificateReport, _f_coeffs, _h_coeffs, telescoping
+from betaimex.certificates import CertificateReport, telescoping
 from betaimex.polynomials import (_exact_trim, horner, real_critical_points, roots,
                                   sylvester_resultant)
 from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
@@ -200,17 +204,77 @@ def sylvester_determinant(p, q):
     return _exact_det(sylvester_matrix(p, q))
 
 
+# the printed certificate polynomials at the shift B, ascending in y:
+# Re[A~(z) / (z C~(z))] = (1 - y) f_k(y) / F_SCALE[k] and Re[D~(z) C~(1/z)] = h_k(y)
+# on |z| = 1, y = cos(theta)
+
+def _f_coeffs(k, B):
+    if k == 2:
+        return [2 * B ** 2 + B + 1, -2 * B ** 2 - B + 1]
+    if k == 3:
+        return [3 * B ** 4 + 9 * B ** 3 + 8 * B ** 2 + 2 * B + 4,
+                -6 * B ** 4 - 18 * B ** 3 - 13 * B ** 2 + B + 4,
+                3 * B ** 4 + 9 * B ** 3 + 5 * B ** 2 - 3 * B - 2]
+    if k == 4:
+        return [2 * B ** 6 + 15 * B ** 5 + 39 * B ** 4 + 39 * B ** 3 + 10 * B ** 2 + 15,
+                -6 * B ** 6 - 45 * B ** 5 - 117 * B ** 4 - 116 * B ** 3 - 21 * B ** 2 + 17 * B + 9,
+                6 * B ** 6 + 45 * B ** 5 + 117 * B ** 4 + 115 * B ** 3 + 12 * B ** 2 - 34 * B - 12,
+                -2 * B ** 6 - 15 * B ** 5 - 39 * B ** 4 - 38 * B ** 3 - B ** 2 + 17 * B + 6]
+    if k == 5:
+        return [5 * B ** 8 + 70 * B ** 7 + 380 * B ** 6 + 990 * B ** 5 + 1189 * B ** 4 + 344 * B ** 3 - 410 * B ** 2 - 168 * B + 336,
+                -20 * B ** 8 - 280 * B ** 7 - 1530 * B ** 6 - 4060 * B ** 5 - 5136 * B ** 4 - 2072 * B ** 3 + 1070 * B ** 2 + 652 * B + 36,
+                30 * B ** 8 + 420 * B ** 7 + 2310 * B ** 6 + 6240 * B ** 5 + 8244 * B ** 4 + 3932 * B ** 3 - 1260 * B ** 2 - 1340 * B - 204,
+                -20 * B ** 8 - 280 * B ** 7 - 1550 * B ** 6 - 4260 * B ** 5 - 5836 * B ** 4 - 3024 * B ** 3 + 950 * B ** 2 + 1396 * B + 336,
+                5 * B ** 8 + 70 * B ** 7 + 390 * B ** 6 + 1090 * B ** 5 + 1539 * B ** 4 + 820 * B ** 3 - 350 * B ** 2 - 540 * B - 144]
+    raise coeffs.OrderError(f"no certificate polynomial for k={k}")
+
+
+def _h_coeffs(k, B):
+    if k == 2:
+        return [1 + 1 / B, -(B ** 0)]
+    if k == 3:
+        return [(B ** 3 + 2 * B ** 2 + 1) / (B + 1),
+                -2 * B ** 2 - 2 * B + 1,
+                B ** 2 + B]
+    if k == 4:
+        return [(2 * B ** 6 + 15 * B ** 5 + 35 * B ** 4 + 15 * B ** 3 - 37 * B ** 2 - 39 * B + 9) / (9 * (B + 3)),
+                (-6 * B ** 5 - 27 * B ** 4 - 30 * B ** 3 + 9 * B ** 2 + 18 * B + 9) / 9,
+                (2 * B ** 5 + 9 * B ** 4 + 12 * B ** 3 + 3 * B ** 2 - 2 * B) / 3,
+                -(B * (B + 1) ** 2 * (2 * B ** 2 + 5 * B + 2)) / 9]
+    if k == 5:
+        den = 18 * (B + 15)
+        return [(6 * B ** 8 + 73 * B ** 7 + 322 * B ** 6 + 571 * B ** 5 + 91 * B ** 4 - 926 * B ** 3 - 995 * B ** 2 - 312 * B + 18) / den,
+                -(24 * B ** 8 + 292 * B ** 7 + 1314 * B ** 6 + 2527 * B ** 5 + 1203 * B ** 4 - 2405 * B ** 3 - 3117 * B ** 2 - 1008 * B - 270) / den,
+                (B * (12 * B ** 7 + 146 * B ** 6 + 670 * B ** 5 + 1385 * B ** 4 + 1021 * B ** 3 - 553 * B ** 2 - 1127 * B - 402)) * 3 / den,
+                -(B * (24 * B ** 7 + 292 * B ** 6 + 1366 * B ** 5 + 3013 * B ** 4 + 2881 * B ** 3 + 193 * B ** 2 - 1391 * B - 618)) / den,
+                (B * (B ** 2 + 3 * B + 2) ** 2 * (6 * B ** 3 + 37 * B ** 2 + 48 * B - 27)) / den]
+    raise coeffs.OrderError(f"no certificate polynomial for k={k}")
+
+
 def _fraction_min(coeff_fn, k, beta):
-    """Minimum over [-1, 1]: float critical points, exact rational values."""
-    critical = real_critical_points(coeff_fn(k, float(beta)))
-    candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
+    """Minimum over [-1, 1]: exact rational values at the float critical points
+    of the exact coefficients rounded once."""
     exact_coeffs = [Fraction(c) for c in coeff_fn(k, Fraction(beta))]
+    critical = real_critical_points([float(c) for c in exact_coeffs])
+    candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
     best_x, best_v = None, None
     for x in sorted(candidates):
         v = horner(exact_coeffs, Fraction(x))
         if best_v is None or v < best_v:
             best_x, best_v = x, v
     return best_x, float(best_v)
+
+
+def schur_cohn_inside(p):
+    """Whether every root of p (Fraction coefficients, ascending) has modulus
+    below 1: Schur's transform p <- (p - (p_0 / p_n) z^n p(1/z)) / z in Fractions."""
+    p = [Fraction(x) for x in p]
+    while len(p) > 1:
+        g = p[0] / p[-1]
+        if abs(g) >= 1:
+            return False
+        p = [x - g * y for x, y in zip(p, reversed(p))][1:]
+    return True
 
 
 def fraction_report(k, beta):
@@ -224,7 +288,7 @@ def fraction_report(k, beta):
     rmax = float(np.abs(roots(rec.c)).max())
     xf, min_f = _fraction_min(_f_coeffs, k, beta_exact)
     xh, min_h = _fraction_min(_h_coeffs, k, beta_exact)
-    passed = (res_ac != 0.0 and res_dc != 0.0 and rmax < 1.0
+    passed = (res_ac != 0.0 and res_dc != 0.0 and schur_cohn_inside(rec.c)
               and min_f >= 0.0 and min_h >= 0.0)
     witness = None
     if min_f < 0.0 or min_h < 0.0:
@@ -496,8 +560,12 @@ def min_on_interval(p: Polynomial, lo: float, hi: float):
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    candidates = [lo, hi]
-    candidates += [x for x in real_critical_points(p.coef) if lo < x < hi]
+    try:
+        critical = real_critical_points(p.coef)
+    except ValueError:  # p' above cubic: its real companion-matrix eigenvalues
+        critical = [r.real for r in roots(p.deriv().coef)
+                    if abs(r.imag) < 1e-9 * max(1.0, abs(r))]
+    candidates = [lo, hi] + [x for x in critical if lo < x < hi]
     best_x, best_v = lo, p(lo)
     for x in sorted(candidates):
         v = p(x)

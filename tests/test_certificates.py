@@ -4,18 +4,19 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaimex import certificates as cert
 from betaimex import coeffs
-from betaimex.polynomials import sylvester_resultant
+from betaimex.polynomials import horner, sylvester_resultant
 from betaimex.cli import _beta_grid
-from oracles import (ETA_TILDE, F_SCALE, certificate_polynomials, circle_pairing_f,
-                     circle_pairing_h, classical_condition, fraction_report,
-                     g4_polynomial, printed_resultants, sylvester_determinant,
-                     vandermonde_record)
+from oracles import (ETA_TILDE, F_SCALE, _f_coeffs, _h_coeffs, certificate_polynomials,
+                     circle_pairing_f, circle_pairing_h, classical_condition,
+                     fraction_report, g4_polynomial, printed_resultants,
+                     sylvester_determinant, vandermonde_record)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -33,19 +34,19 @@ def test_printed_anchor_values():
 
 def test_f4_at_one_is_shift_independent():
     for beta in BETA_GRID:
-        fr = [Fraction(c) for c in cert._f_coeffs(4, Fraction(beta))]
+        fr = [Fraction(c) for c in _f_coeffs(4, Fraction(beta))]
         assert sum(fr) == 18
 
 
 def test_h4_at_one_closed_form():
     for beta in BETA_GRID:
-        fr = [Fraction(c) for c in cert._h_coeffs(4, Fraction(beta))]
+        fr = [Fraction(c) for c in _h_coeffs(4, Fraction(beta))]
         assert sum(fr) == Fraction(4) / (Fraction(beta) + 3)
 
 
 def test_g4_positive_with_negative_discriminant():
     for beta in BETA_GRID:
-        w0, w1, w2, _ = cert._f_coeffs(4, beta)
+        w0, w1, w2, _ = _f_coeffs(4, beta)
         disc = 4 * w1 ** 2 - 12 * w2 * w0
         assert disc < 0.0
         g = g4_polynomial(beta)
@@ -117,27 +118,72 @@ def test_integer_record_equals_the_fraction_record(k):
             assert [Fraction(x, den) for x in nums] == list(ref)
 
 
+# shifts where the roots of C~ crowd the unit circle: the float eigensolve
+# puts the largest on or outside it, the exact root condition holds
+CROWDED_SHIFTS = {2: [1e16], 3: [1e9], 4: [1e6], 5: []}
+
+
 # every 37th report of `verify --k 5 --grid 0:100:0.1`, every 53rd of
-# `verify --k 2|3|4 --grid 1:100:0.1`
+# `verify --k 2|3|4 --grid 1:100:0.1`, and the crowded shifts
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_reports_equal_the_fraction_oracle(k):
+    crowded = CROWDED_SHIFTS[k]
     betas = _beta_grid("0:100:0.1")[::37] if k == 5 else _beta_grid("1:100:0.1")[::53]
-    reports = [cert.verify_certificate(k, b) for b in betas]
-    assert reports == [fraction_report(k, b) for b in betas]
+    reports = [cert.verify_certificate(k, b) for b in betas + crowded]
+    assert reports == [fraction_report(k, b) for b in betas + crowded]
+    assert all(r.passed for r in reports[len(betas):])
 
 
-def test_k5_minima_keep_their_float_critical_points():
-    # recorded with the Fraction route on the grid's doubles; critical points
-    # taken from correctly rounded table coefficients move each by an ulp or more
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_certificate_polynomials_equal_the_printed_forms(k):
+    # every shift of the CLI grids, exactly as the reports take them
+    grid = _beta_grid("0:100:0.1" if k == 5 else "1:100:0.1")
+    for B in [Fraction(b) for b in grid] + [Fraction(5, 2), Fraction(10 ** 6)]:
+        a, _, c, d = coeffs._integer_record(k, B)
+        f, h = cert._certificate_polynomials(k, a, c, d)
+        for (nums, den), printed in ((f, _f_coeffs(k, B)), (h, _h_coeffs(k, B))):
+            assert den > 0 and all(type(x) is int for x in nums)
+            assert [Fraction(x, den) for x in nums] == [Fraction(p) for p in printed], (k, B)
+
+
+def test_k5_minima_take_their_critical_points_from_rounded_coefficients():
+    # recorded with critical points from the correctly rounded coefficients; the
+    # float evaluation of the printed forms moved each by an ulp or more
     betas = [20.3, 21.200000000000003, 15.100000000000001, 17.2, 0.9, 1.1]
     assert set(betas) <= set(_beta_grid("0:100:0.1"))
     by_beta = {b: cert.verify_certificate(5, b) for b in betas}
-    assert by_beta[20.3].min_f.hex() == "0x1.a715b40b4de89p+7"
-    assert by_beta[21.200000000000003].min_f.hex() == "0x1.a6e4415d28c1ap+7"
-    assert by_beta[15.100000000000001].min_h.hex() == "0x1.43e30571d005cp-4"
-    assert by_beta[17.2].min_h.hex() == "0x1.452f6928006e2p-4"
-    assert by_beta[0.9].failure_witness[0].hex() == "-0x1.953c4befa315ap-2"
-    assert by_beta[1.1].failure_witness[0].hex() == "0x1.cbaab482a0180p-6"
+    assert by_beta[20.3].min_f.hex() == "0x1.a715b40b4de88p+7"
+    assert by_beta[21.200000000000003].min_f.hex() == "0x1.a6e4415d28c19p+7"
+    assert by_beta[15.100000000000001].min_h.hex() == "0x1.43e30571d005bp-4"
+    assert by_beta[17.2].min_h.hex() == "0x1.452f6928006e1p-4"
+    assert by_beta[0.9].failure_witness[0].hex() == "-0x1.953c4befa3159p-2"
+    assert by_beta[1.1].failure_witness[0].hex() == "0x1.cbaab482a01b0p-6"
+
+
+def _exact_min(poly):
+    # minimum over [-1, 1] of a Fraction polynomial: the real critical points
+    # of its float copy, refined by three Newton steps in Fractions
+    d1 = [i * x for i, x in enumerate(poly)][1:]
+    d2 = [i * x for i, x in enumerate(d1)][1:]
+    values = [horner(poly, Fraction(-1)), horner(poly, Fraction(1))]
+    for z in Polynomial([float(x) for x in poly]).deriv().roots():
+        if abs(z.imag) < 1e-9 and -1.0 < z.real < 1.0:
+            y = Fraction(z.real)
+            for _ in range(3):
+                y -= horner(d1, y) / horner(d2, y)
+            values.append(horner(poly, y))
+    return min(values)
+
+
+def test_k5_min_h_is_accurate_at_large_shifts():
+    # near beta = 100 the coefficients of h_5 cancel heavily, so they must be
+    # rounded once from their exact values: evaluated in floats from the
+    # printed forms they put min_h 7e-8 away from the exact minimum
+    grid = _beta_grid("0:100:0.1")
+    for target in (97.4, 97.8):
+        beta = min(grid, key=lambda b: abs(b - target))
+        exact = _exact_min([Fraction(x) for x in _h_coeffs(5, Fraction(beta))])
+        assert abs(cert.verify_certificate(5, beta).min_h - exact) <= 2e-8 * abs(exact)
 
 
 def test_k5_printed_resultant_example():

@@ -22,6 +22,11 @@ def test_trimming_and_degree():
         roots([0.0, 0.0])  # degree 0
 
 
+def test_critical_points_stop_at_cubic_derivatives():
+    with pytest.raises(ValueError, match="at most cubic"):
+        real_critical_points([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def test_roots_difference_of_squares():
     r = sorted(roots([-1.0, 0.0, 1.0]).real)
     assert np.allclose(r, [-1.0, 1.0])
