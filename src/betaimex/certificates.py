@@ -21,7 +21,9 @@ over one positive denominator.  The interval minima take their candidates
 from the float critical points of the correctly rounded coefficients and
 their values exactly, as homogeneous integer forms in y = p/q, because the
 raw double-precision values of these polynomials lose several digits to
-cancellation once beta is large.
+cancellation once beta is large.  Every verdict is taken on these exact
+values; the report's float fields are correctly rounded from them and
+saturate to +-inf beyond the float range.
 
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
@@ -100,16 +102,29 @@ def _homogeneous(poly, p, q):
     return acc
 
 
+def _rounded(nums, den):
+    """The coefficients nums / den correctly rounded, scaled into the float range.
+
+    Where the largest would exceed about 2^1000 they are first divided by a
+    power of two, which moves no root or critical point and keeps them, their
+    multiples in a derivative and the closed forms' squares finite.
+    """
+    excess = max(max(nums), -min(nums)).bit_length() - den.bit_length() - 1000
+    if excess > 0:
+        den <<= excess
+    return [x / den for x in nums]
+
+
 def _certified_min(nums, den):
     """Minimum of nums / den over [-1, 1]: float critical points, exact values.
 
     The critical points come from the correctly rounded coefficients x / den.
     With d = len(nums) - 1 a candidate y = p/q has the value S(p, q) / (q^d den),
     S the homogeneous integer form, so the candidates compare by
-    cross-multiplication and the minimum is one correctly rounded integer
-    division, as float(Fraction) would give.
+    cross-multiplication.  Returns the minimiser's candidate and the exact
+    minimum as (integer numerator, positive integer denominator).
     """
-    critical = real_critical_points([x / den for x in nums])
+    critical = real_critical_points(_rounded(nums, den))
     candidates = [-1.0, 1.0] + [x for x in critical if -1.0 < x < 1.0]
     d = len(nums) - 1
     best_x, best_s, best_w = None, None, None
@@ -118,15 +133,24 @@ def _certified_min(nums, den):
         s, w = _homogeneous(nums, p, q), q ** d
         if best_x is None or s * best_w < best_s * w:
             best_x, best_s, best_w = x, s, w
-    return best_x, best_s / (best_w * den)
+    return best_x, (best_s, best_w * den)
 
 
 def _resultant(p, q):
-    # Res(P / L_P, Q / L_Q) as a float from (numerators, denominator) pairs
+    # Res(P / L_P, Q / L_Q) as (numerator, positive denominator) from
+    # (numerators, denominator) pairs
     (P, lp), (Q, lq) = p, q
     res = sylvester_resultant(P, Q)
     deg_p, deg_q = len(_exact_trim(P)) - 1, len(_exact_trim(Q)) - 1
-    return res.numerator / (lp ** deg_q * lq ** deg_p)
+    return res.numerator, lp ** deg_q * lq ** deg_p
+
+
+def _float(num, den):
+    """num / den (den > 0) correctly rounded, saturating to +-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -165,18 +189,20 @@ def _build_report(k, beta):
     c_nums, c_den = c
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large
-    rmax = float(np.abs(roots([x / c_den for x in c_nums])).max())
+    rmax = float(np.abs(roots(_rounded(c_nums, c_den))).max())
     f, h = _certificate_polynomials(k, a, c, d)
-    xf, min_f = _certified_min(*f)
-    xh, min_h = _certified_min(*h)
-    passed = (res_ac != 0.0 and res_dc != 0.0 and _roots_inside_unit_disk(c_nums)
-              and min_f >= 0.0 and min_h >= 0.0)
+    xf, (sf, wf) = _certified_min(*f)
+    xh, (sh, wh) = _certified_min(*h)
+    # every verdict is taken on the exact values, so a float that overflows or
+    # underflows cannot flip it; only the printed fields saturate
+    passed = (res_ac[0] != 0 and res_dc[0] != 0 and _roots_inside_unit_disk(c_nums)
+              and sf >= 0 and sh >= 0)
     witness = None
-    if min_f < 0.0 or min_h < 0.0:
-        witness = (xf, min_f) if min_f <= min_h else (xh, min_h)
-    return CertificateReport(k=k, beta=float(beta), resultant_AC=res_ac,
-                             resultant_DC=res_dc, max_root_modulus_C=rmax,
-                             min_f=min_f, min_h=min_h, passed=passed,
+    if sf < 0 or sh < 0:
+        witness = (xf, _float(sf, wf)) if sf * wh <= sh * wf else (xh, _float(sh, wh))
+    return CertificateReport(k=k, beta=float(beta), resultant_AC=_float(*res_ac),
+                             resultant_DC=_float(*res_dc), max_root_modulus_C=rmax,
+                             min_f=_float(sf, wf), min_h=_float(sh, wh), passed=passed,
                              failure_witness=witness)
 
 

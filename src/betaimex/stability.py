@@ -10,11 +10,16 @@ z belongs to the stability region iff pi satisfies the root condition: all
 roots in the closed unit disk, roots on the boundary simple.
 
 `scan_region` applies the Schur-Cohn reduction (Miller 1971; Hairer-Wanner II,
-sec. V.1) to whole chunks of z at once, with no eigensolve; points with a root
-within `_BAND` of the unit circle go to the single-point check `is_stable`.
+sec. V.1) to whole chunks of z at once, with no eigensolve.  A chunk holds its
+coefficients column-major, one row per power of w and one contiguous column
+per point, so each step of the reduction works on whole rows.  The pass at
+radius 1 - `_BAND` proves most stable points; the pass at 1 + `_BAND` then runs
+only on the points it left open, and those with a root within `_BAND` of the
+unit circle go to the single-point check `is_stable`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +91,23 @@ class StabilityGrid:
 
 
 def _schur_inside(coef, r):
-    """True per row of ascending coefficients where every root lies in |w| < r."""
-    p = coef * r ** np.arange(coef.shape[1])
-    inside = np.ones(len(p), dtype=bool)
-    with np.errstate(all="ignore"):  # rows already outside may overflow to nan
-        for _ in range(coef.shape[1] - 1):
-            c0, cn = p[:, 0], p[:, -1]
+    """True per column of ascending coefficients where every root lies in |w| < r.
+
+    coef holds one row per power of w and one column per point.
+    """
+    p = coef * (r ** np.arange(len(coef)))[:, None]
+    inside = np.ones(p.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):  # columns already outside may overflow to nan
+        for _ in range(len(coef) - 1):
+            c0, cn = p[0], p[-1]
             inside &= np.abs(c0) < np.abs(cn)
             g = c0 / cn.conj()
-            # p - g p*, where p* reverses and conjugates p, loses its constant term
-            p = (p - g[:, None] * p[:, ::-1].conj())[:, 1:]
+            # p - g p*, where p* reverses and conjugates p, loses its constant
+            # term, so only the surviving entries are formed; g * p* keeps that
+            # operand order, since numpy's complex product rounds differently
+            # with its operands swapped
+            t = p[-2::-1].conj()
+            p = np.subtract(p[1:], np.multiply(g, t, out=t), out=t)
     return inside
 
 
@@ -106,21 +118,30 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     if not (re_lo < re_hi and im_lo < im_hi and nx > 0 and ny > 0):
         raise ValueError("window must be nonempty and resolution positive")
 
+    # a finite area needs finite bounds and cell sizes, and keeps the summed
+    # stable area finite too
+    if not math.isfinite((re_hi - re_lo) * (im_hi - im_lo)):
+        raise ValueError("window must be finite, with a finite area")
+
     dre = (re_hi - re_lo) / nx
     dim = (im_hi - im_lo) / ny
     re = re_lo + (np.arange(nx) + 0.5) * dre
     im = im_lo + (np.arange(ny) + 0.5) * dim
     z = (re[:, None] + 1j * im[None, :]).ravel()
 
+    a, b, _ = scheme_coefficients(k, beta).arrays()
+    b_ext = np.concatenate(([0.0], b))
     mask = np.zeros(z.size, dtype=bool)
     for start in range(0, z.size, _CHUNK):
         zc = z[start:start + _CHUNK]
-        coef = characteristic_coeffs(k, beta, zc)
-        scale = np.abs(coef[:, :k]).max(axis=1)
-        regular = np.abs(coef[:, k]) > 1e-14 * np.maximum(scale, 1.0)
+        # characteristic_coeffs(k, beta, zc) transposed: one row per power
+        zb = np.multiply.outer(b_ext, zc)
+        coef = np.subtract(a[:, None], zb, out=zb)
+        scale = np.abs(coef[:k]).max(axis=0)
+        regular = np.abs(coef[k]) > 1e-14 * np.maximum(scale, 1.0)
         stable = regular & _schur_inside(coef, 1.0 - _BAND)
-        band = regular & ~stable & _schur_inside(coef, 1.0 + _BAND)
-        for i in np.nonzero(band)[0]:
+        rest = np.nonzero(regular & ~stable)[0]
+        for i in rest[_schur_inside(coef[:, rest], 1.0 + _BAND)]:
             stable[i] = is_stable(k, beta, zc[i])
         mask[start:start + _CHUNK] = stable
 

@@ -134,6 +134,15 @@ def test_reports_equal_the_fraction_oracle(k):
     assert all(r.passed for r in reports[len(betas):])
 
 
+def test_report_verdict_survives_a_minimum_that_rounds_to_zero(monkeypatch):
+    # an exactly negative minimum below the float range prints as -0.0, which
+    # compares >= 0.0; the verdict must still come out negative
+    monkeypatch.setattr(cert, "_certified_min", lambda nums, den: (0.5, (-1, 10 ** 400)))
+    report = cert.verify_certificate(2, 3.0)
+    assert report.min_f == report.min_h == 0.0 and math.copysign(1.0, report.min_f) < 0
+    assert not report.passed and report.failure_witness == (0.5, -0.0)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_certificate_polynomials_equal_the_printed_forms(k):
     # every shift of the CLI grids, exactly as the reports take them

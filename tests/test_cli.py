@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,14 @@ def test_stability_emits_pgm_and_sidecar(tmp_path, capsys):
     assert pgm.read_bytes() == raw
 
 
+@pytest.mark.parametrize("window", ["1,1,-1,1", "-12,4,-8,inf", "-1e308,1e308,-8,8"])
+def test_stability_refuses_empty_and_non_finite_windows(tmp_path, capsys, window):
+    code = cli.main(["--out", str(tmp_path), "stability", "--k", "2", "--beta", "1",
+                     f"--window={window}", "--res", "4,4"])
+    assert code == 1 and "window" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_verify_exit_codes_and_records(tmp_path, capsys):
     code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "2", "--beta", "1"], capsys)
     assert code == 0
@@ -88,6 +97,34 @@ def test_verify_passes_when_the_explicit_roots_crowd_the_circle(tmp_path, capsys
     assert code == 0
     record, = json.loads((tmp_path / f"verify_k{k}.json").read_text())
     assert record["pass"] is True and record["failure_witness"] is None
+
+
+@pytest.mark.parametrize("k,beta", [(4, "1e60"), (3, "1e100"), (2, "1e155"), (2, "1.7e308")])
+def test_verify_decides_shifts_beyond_the_float_range(tmp_path, capsys, k, beta):
+    # resultants and certificate coefficients exceed the float range here, and
+    # at 1.7e308 min_h = 1 / beta is subnormal; the verdict is taken on the
+    # exact integers and only the printed floats saturate
+    code, out = run_cli(["--out", str(tmp_path), "verify", "--k", str(k), "--beta", beta],
+                        capsys)
+    assert code == 0 and ": pass " in out
+    record, = json.loads((tmp_path / f"verify_k{k}.json").read_text())
+    assert record["pass"] is True and record["failure_witness"] is None
+    assert record["min_f"] > 0.0 and record["min_h"] > 0.0
+    if k == 4:
+        assert record["resultant_AC"] == record["resultant_DC"] == -math.inf
+
+
+def test_verify_at_a_large_representable_shift_keeps_its_report(tmp_path, capsys):
+    code, out = run_cli(["--out", str(tmp_path), "verify", "--k", "4", "--beta", "1e30"],
+                        capsys)
+    assert code == 0
+    assert out == "k=4 beta=1e+30: pass  min_f=1.800e+01 min_h=4.000e-30 rmax=1.000004\n"
+    record, = json.loads((tmp_path / "verify_k4.json").read_text())
+    assert record == {"beta": 1e30, "failure_witness": None, "k": 4,
+                      "max_root_modulus_C": 1.0000040923570992, "min_f": 18.0,
+                      "min_h": 3.9999999999999996e-30, "pass": True,
+                      "resultant_AC": -3.4722222222222225e+177,
+                      "resultant_DC": -2.777777777777778e+178}
 
 
 def test_verify_grid_ordered_by_beta(tmp_path, capsys):

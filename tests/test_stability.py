@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaimex import coeffs
-from betaimex.stability import (DEFAULT_WINDOW, characteristic_coeffs,
+from betaimex.stability import (_CHUNK, DEFAULT_WINDOW, characteristic_coeffs,
                                 is_stable, scan_region)
 from oracles import boundary_locus, eig_scan_mask
 
@@ -115,6 +115,30 @@ def test_scan_mask_equals_the_eigensolve_route_bit_for_bit(k, beta):
     assert np.array_equal(grid.mask, eig_scan_mask(k, beta, DEFAULT_WINDOW, (200, 200)))
 
 
+def test_scan_mask_equals_the_eigensolve_route_across_a_chunk_seam():
+    # 257 * 256 points: the last row of the grid is a second chunk of its own
+    grid = scan_region(4, 1.0, resolution=(257, 256))
+    assert grid.mask.size > _CHUNK
+    tail = grid.mask.ravel()[_CHUNK:]
+    assert tail.any() and not tail.all()
+    assert np.array_equal(grid.mask, eig_scan_mask(4, 1.0, DEFAULT_WINDOW, (257, 256)))
+
+
+@pytest.mark.parametrize("k,beta", [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 3.0)])
+def test_scan_cell_where_the_leading_coefficient_vanishes_is_unstable(k, beta):
+    # at z* = a_k / b_(k-1) the w^k coefficient of pi vanishes: one
+    # amplification factor escapes to infinity
+    a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
+    z_star = a[k] / b[k - 1]
+    grid = scan_region(k, beta, window=(z_star - 0.5, z_star + 0.5, -0.5, 0.5),
+                       resolution=(1, 1))
+    centre = complex(grid.re_lo + 0.5 * (grid.re_hi - grid.re_lo), 0.0)
+    coef = characteristic_coeffs(k, beta, centre)
+    assert abs(coef[k]) <= 1e-14 * np.abs(coef[:k]).max()
+    assert not grid.mask[0, 0]
+    assert not is_stable(k, beta, centre)
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(2, 5), beta=st.floats(1.0, 10.0),
        theta=st.floats(0.0, 2 * np.pi), log_offset=st.floats(-9.0, -3.0),
@@ -153,3 +177,11 @@ def test_unstable_area_matches_the_boundary_locus(k, beta):
 def test_scan_rejects_empty_window():
     with pytest.raises(ValueError):
         scan_region(2, 1.0, window=(1.0, 1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("window", [(-12.0, 4.0, -8.0, np.inf), (-1e308, 1e308, -8.0, 8.0),
+                                    (-1e200, 1e200, -1e200, 1e200)])
+def test_scan_rejects_non_finite_windows(window):
+    # an infinite bound, a width that overflows, an area that overflows
+    with pytest.raises(ValueError, match="finite"):
+        scan_region(2, 1.0, window=window, resolution=(4, 4))
