@@ -6,7 +6,9 @@ The certificate has four ingredients, all checked numerically here:
   * the Sylvester resultants of (A~, C~) and (D~, C~) are nonzero, so the
     characteristic polynomials share no factor;
   * every root of C~ lies strictly inside the unit disk (decided exactly by
-    the Schur-Cohn reduction; the reported modulus is a float estimate);
+    the Schur-Cohn reduction; the reported modulus is a float estimate, or,
+    where that reads 1 or more for roots proved inside, the least dyadic
+    m / 2^53 that the reduction proves above every root);
   * the real part of A~(z) / (z C~(z)) on the unit circle reduces, with
     y = cos(theta), to (1 - y) f_k(y) / s_k with f_k of degree k - 1 that must
     be nonnegative on [-1, 1]  (scale s_k = 1, 3, 9, 180 for k = 2..5);
@@ -136,6 +138,26 @@ def _certified_min(nums, den):
     return best_x, (best_s, best_w * den)
 
 
+def _modulus_bound(nums):
+    """The least rho = m / 2^53 (0 < m <= 2^53) with every root of nums in |w| < rho.
+
+    nums are integer coefficients whose roots lie inside the unit disk, so
+    rho = 1 qualifies.  Each candidate is decided exactly by the Schur-Cohn
+    reduction of 2^(53 n) nums(rho w), with integer coefficients
+    nums[i] m^i 2^(53 (n - i)); rho is a double, rounded up from the largest
+    modulus on the 2^-53 grid.
+    """
+    n = len(nums) - 1
+    lo, hi = 0, 1 << 53
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        if _roots_inside_unit_disk([x * m ** i << 53 * (n - i) for i, x in enumerate(nums)]):
+            hi = m
+        else:
+            lo = m
+    return hi / (1 << 53)
+
+
 def _resultant(p, q):
     # Res(P / L_P, Q / L_Q) as (numerator, positive denominator) from
     # (numerators, denominator) pairs
@@ -188,15 +210,18 @@ def _build_report(k, beta):
     res_dc = _resultant(d, c)
     c_nums, c_den = c
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
-    # since the roots of C~ cluster at 1 once beta is large
+    # since the roots of C~ cluster at 1 once beta is large, and where the
+    # estimate contradicts it the printed modulus is a certified bound instead
     rmax = float(np.abs(roots(_rounded(c_nums, c_den))).max())
+    inside = _roots_inside_unit_disk(c_nums)
+    if inside and rmax >= 1.0:
+        rmax = _modulus_bound(c_nums)
     f, h = _certificate_polynomials(k, a, c, d)
     xf, (sf, wf) = _certified_min(*f)
     xh, (sh, wh) = _certified_min(*h)
     # every verdict is taken on the exact values, so a float that overflows or
     # underflows cannot flip it; only the printed fields saturate
-    passed = (res_ac[0] != 0 and res_dc[0] != 0 and _roots_inside_unit_disk(c_nums)
-              and sf >= 0 and sh >= 0)
+    passed = res_ac[0] != 0 and res_dc[0] != 0 and inside and sf >= 0 and sh >= 0
     witness = None
     if sf < 0 or sh < 0:
         witness = (xf, _float(sf, wf)) if sf * wh <= sh * wf else (xh, _float(sh, wh))

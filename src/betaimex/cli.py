@@ -5,15 +5,19 @@ The three experiments share one path: `EXPERIMENTS` maps each subcommand to
 its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
 Global flags --out/--seed apply everywhere; a JSON config file can preload
-any flag (explicit command-line flags win).  Exit codes: 0 all good, 2
-completed but some scheme was judged unstable, 1 usage or internal error.
-Run as a program, warnings print as `warning: <message>` without a source
-location.
+any flag (explicit command-line flags win).  `main` parses with one parser
+built on its first call and shared by every later call in the process; a
+call with --config preloads a parser of its own, so the shared one never
+changes.  Exit codes: 0 all good, 2 completed but some scheme was judged
+unstable, 1 usage or internal error.  Run as a program, warnings print as
+`warning: <message>` without a source location.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -91,8 +95,11 @@ def cmd_stability(args):
 
 def _beta_grid(spec_str):
     lo, hi, step = (float(p) for p in spec_str.split(":"))
-    if step <= 0 or hi < lo:
+    if not (step > 0 and hi >= lo):  # false for a nan too
         raise ValueError("--grid requires lo <= hi and step > 0")
+    if not all(math.isfinite(v) for v in (lo, hi, step, (hi - lo) / step)):
+        raise ValueError("--grid needs a finite lo, hi, step and point count")
+    # finite parts with lo <= hi put lo on the grid, so it is never empty
     n = int(round((hi - lo) / step))
     return [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
 
@@ -311,10 +318,16 @@ def _preload(parser, loaded):
     parser.set_defaults(**defaults)
 
 
+@functools.cache
+def _shared_parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.config:
+        # preloading rewrites a parser's defaults, so it gets a parser of its own
+        parser = build_parser()
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)

@@ -178,7 +178,9 @@ def _real_roots_cubic(c0, c1, c2, c3):
     disc = -(4.0 * p ** 3 + 27.0 * q * q)
     if disc >= 0.0 and p < 0.0:
         m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
+        # p * m underflows to 0 only where |p| < 1e-200: the three roots then
+        # lie within m < 1e-100 of the shift, whatever angle they take
+        arg = 3.0 * q / (p * m) if p * m else 0.0
         arg = min(1.0, max(-1.0, arg))
         theta = math.acos(arg)
         return [shift + m * math.cos((theta - 2.0 * math.pi * kk) / 3.0)

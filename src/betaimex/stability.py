@@ -16,6 +16,11 @@ per point, so each step of the reduction works on whole rows.  The pass at
 radius 1 - `_BAND` proves most stable points; the pass at 1 + `_BAND` then runs
 only on the points it left open, and those with a root within `_BAND` of the
 unit circle go to the single-point check `is_stable`.
+
+Chunks are sized for the cache: a row of `_CHUNK` = 8192 complex points is
+128 KiB, so the two (k + 1)-row arrays the reduction alternates between take
+at most 1.5 MiB (k = 5) and stay in a 2 MiB L2.  Every chunk reuses one
+workspace allocated per scan, so the chunk loop allocates only single rows.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ SEPARATION_TOL = 1e-6
 DEFAULT_WINDOW = (-12.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = (600, 600)
 
-_CHUNK = 65536
+_CHUNK = 8192  # points per chunk; see the module docstring
 _BAND = 1e-6  # far above ROOT_TOL; the Schur-Cohn verdicts hold outside it
 
 
@@ -90,24 +95,24 @@ class StabilityGrid:
         return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
 
 
-def _schur_inside(coef, r):
-    """True per column of ascending coefficients where every root lies in |w| < r.
+def _schur_inside(p, spare):
+    """True per column of ascending coefficients where every root lies in |w| < 1.
 
-    coef holds one row per power of w and one column per point.
+    p holds one row per power of w and one column per point.  The reduction
+    overwrites p and spare, an array of p's shape.
     """
-    p = coef * (r ** np.arange(len(coef)))[:, None]
     inside = np.ones(p.shape[1], dtype=bool)
     with np.errstate(all="ignore"):  # columns already outside may overflow to nan
-        for _ in range(len(coef) - 1):
+        for _ in range(len(p) - 1):
             c0, cn = p[0], p[-1]
             inside &= np.abs(c0) < np.abs(cn)
             g = c0 / cn.conj()
             # p - g p*, where p* reverses and conjugates p, loses its constant
-            # term, so only the surviving entries are formed; g * p* keeps that
-            # operand order, since numpy's complex product rounds differently
-            # with its operands swapped
-            t = p[-2::-1].conj()
-            p = np.subtract(p[1:], np.multiply(g, t, out=t), out=t)
+            # term, so only the surviving entries are formed, in spare; g * p*
+            # keeps that operand order, since numpy's complex product rounds
+            # differently with its operands swapped
+            t = np.conjugate(p[-2::-1], out=spare[:len(p) - 1])
+            p, spare = np.subtract(p[1:], np.multiply(g, t, out=t), out=t), p
     return inside
 
 
@@ -130,18 +135,23 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     z = (re[:, None] + 1j * im[None, :]).ravel()
 
     a, b, _ = scheme_coefficients(k, beta).arrays()
-    b_ext = np.concatenate(([0.0], b))
+    b_ext = np.concatenate(([0.0], b))[:, None]
+    # r^q turns pi(w) into pi(r w), whose roots lie in |w| < 1 iff pi's lie in |w| < r
+    powers = np.arange(k + 1)[:, None]
+    inner, outer = (1.0 - _BAND) ** powers, (1.0 + _BAND) ** powers
     mask = np.zeros(z.size, dtype=bool)
+    work = np.empty((3, k + 1, min(_CHUNK, z.size)), dtype=complex)
     for start in range(0, z.size, _CHUNK):
         zc = z[start:start + _CHUNK]
+        coef, p, spare = work[:, :, :zc.size]
         # characteristic_coeffs(k, beta, zc) transposed: one row per power
-        zb = np.multiply.outer(b_ext, zc)
-        coef = np.subtract(a[:, None], zb, out=zb)
+        np.subtract(a[:, None], np.multiply(b_ext, zc, out=coef), out=coef)
         scale = np.abs(coef[:k]).max(axis=0)
         regular = np.abs(coef[k]) > 1e-14 * np.maximum(scale, 1.0)
-        stable = regular & _schur_inside(coef, 1.0 - _BAND)
+        stable = regular & _schur_inside(np.multiply(coef, inner, out=p), spare)
         rest = np.nonzero(regular & ~stable)[0]
-        for i in rest[_schur_inside(coef[:, rest], 1.0 + _BAND)]:
+        p, spare = p[:, :rest.size], spare[:, :rest.size]
+        for i in rest[_schur_inside(np.multiply(coef[:, rest], outer, out=p), spare)]:
             stable[i] = is_stable(k, beta, zc[i])
         mask[start:start + _CHUNK] = stable
 

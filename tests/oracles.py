@@ -7,10 +7,11 @@ the shift (`vandermonde_record`), the resultant as a Sylvester determinant by
 Gaussian elimination in Fractions, the paper's printed certificate
 polynomials f_k/h_k (`_f_coeffs`, `_h_coeffs`; the library derives them from
 the coefficient record), the certificate report from the Fraction
-Vandermonde record and the printed polynomials, with its minima evaluated and
-its root condition decided (Schur's reduction) in Fractions, f_k/h_k as
-float numpy Polynomials, the same quantities rebuilt from complex
-exponentials on the unit circle, the closed-form (radical)
+Vandermonde record and the printed polynomials, with its minima evaluated,
+its root condition decided (Schur's reduction) and, where the float root
+modulus contradicts that, the least double bounding the roots found, all in
+Fractions, f_k/h_k as float numpy Polynomials, the same quantities rebuilt
+from complex exponentials on the unit circle, the closed-form (radical)
 telescoping expansions of the second- and third-order pairings with their
 check along a scalar sequence, the residual of the G-matrix identities
 against the Vandermonde record, a plain interval minimiser (companion-matrix
@@ -25,6 +26,7 @@ same-gamma condition, which only the tests use.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,6 +279,23 @@ def schur_cohn_inside(p):
     return True
 
 
+def least_double_bound(p):
+    """The least double rho in (0, 1] with every root of p (roots inside the unit
+    disk) below rho in modulus: bisection on the bit patterns of the doubles,
+    each decided by Schur's reduction of p(rho z) in Fractions."""
+    bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+    double = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
+    lo, hi = bits(0.0), bits(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        rho = Fraction(double(mid))
+        if schur_cohn_inside([Fraction(x) * rho ** i for i, x in enumerate(p)]):
+            hi = mid
+        else:
+            lo = mid
+    return double(hi)
+
+
 def fraction_report(k, beta):
     """`certificates._build_report` from the `Fraction` Vandermonde record, in `Fraction`s."""
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
@@ -286,10 +305,12 @@ def fraction_report(k, beta):
     res_ac = float(sylvester_resultant(rec.a, rec.c))
     res_dc = float(sylvester_resultant(rec.d, rec.c))
     rmax = float(np.abs(roots(rec.c)).max())
+    inside = schur_cohn_inside(rec.c)
+    if inside and rmax >= 1.0:  # the estimate contradicts the exact verdict
+        rmax = least_double_bound(rec.c)
     xf, min_f = _fraction_min(_f_coeffs, k, beta_exact)
     xh, min_h = _fraction_min(_h_coeffs, k, beta_exact)
-    passed = (res_ac != 0.0 and res_dc != 0.0 and schur_cohn_inside(rec.c)
-              and min_f >= 0.0 and min_h >= 0.0)
+    passed = res_ac != 0.0 and res_dc != 0.0 and inside and min_f >= 0.0 and min_h >= 0.0
     witness = None
     if min_f < 0.0 or min_h < 0.0:
         witness = (xf, min_f) if min_f <= min_h else (xh, min_h)

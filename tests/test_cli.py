@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betaimex import cli
+from betaimex import cli, coeffs
 from betaimex.outputs import write_csv, write_json, write_pgm
+from betaimex.polynomials import _roots_inside_unit_disk
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -97,6 +98,18 @@ def test_verify_passes_when_the_explicit_roots_crowd_the_circle(tmp_path, capsys
     assert code == 0
     record, = json.loads((tmp_path / f"verify_k{k}.json").read_text())
     assert record["pass"] is True and record["failure_witness"] is None
+    # the printed modulus is then the least double the exact test proves above
+    # every root; at 1e16 no double below 1 bounds them
+    c = coeffs._integer_record(k, Fraction(float(beta)))[2][0]
+
+    def roots_below(rho):  # rho = p / q: q^n c(rho w) in integers, exact Schur-Cohn
+        p, q = Fraction(rho).as_integer_ratio()
+        n = len(c) - 1
+        return _roots_inside_unit_disk([x * p ** i * q ** (n - i) for i, x in enumerate(c)])
+
+    rho = record["max_root_modulus_C"]
+    assert (rho < 1.0) == (k != 2) and rho <= 1.0
+    assert roots_below(rho) and not roots_below(np.nextafter(rho, 0.0))
 
 
 @pytest.mark.parametrize("k,beta", [(4, "1e60"), (3, "1e100"), (2, "1e155"), (2, "1.7e308")])
@@ -118,13 +131,23 @@ def test_verify_at_a_large_representable_shift_keeps_its_report(tmp_path, capsys
     code, out = run_cli(["--out", str(tmp_path), "verify", "--k", "4", "--beta", "1e30"],
                         capsys)
     assert code == 0
-    assert out == "k=4 beta=1e+30: pass  min_f=1.800e+01 min_h=4.000e-30 rmax=1.000004\n"
+    assert out == "k=4 beta=1e+30: pass  min_f=1.800e+01 min_h=4.000e-30 rmax=1.000000\n"
     record, = json.loads((tmp_path / "verify_k4.json").read_text())
     assert record == {"beta": 1e30, "failure_witness": None, "k": 4,
-                      "max_root_modulus_C": 1.0000040923570992, "min_f": 18.0,
+                      "max_root_modulus_C": 1.0, "min_f": 18.0,
                       "min_h": 3.9999999999999996e-30, "pass": True,
                       "resultant_AC": -3.4722222222222225e+177,
                       "resultant_DC": -2.777777777777778e+178}
+
+
+@pytest.mark.parametrize("grid", ["0:100:inf", "1:2:nan", "1:inf:1", "-inf:2:1",
+                                  "0:100:1e-320"])
+def test_verify_refuses_non_finite_grids(tmp_path, capsys, grid):
+    # an infinite step once checked no shift and passed; the others could not
+    # count their points; the last has more than a float can count
+    code = cli.main(["--out", str(tmp_path), "verify", "--k", "5", f"--grid={grid}"])
+    assert code == 1 and "--grid" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
 
 
 def test_verify_grid_ordered_by_beta(tmp_path, capsys):
@@ -337,6 +360,25 @@ def test_config_file_preloads_flags(tmp_path, capsys):
                                   "res": "8,8"}
     with pytest.raises(SystemExit):
         cli.main(["--config", str(cfg), "stability", "--beta", "1"])
+
+
+def test_config_leaves_later_calls_their_own_defaults(tmp_path, capsys):
+    # main shares one parser across calls; a --config call must not preload it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "beta": 3}))
+    code, _ = run_cli(["--out", str(tmp_path / "config"), "--config", str(cfg), "verify",
+                       "--k", "2"], capsys)
+    manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+    assert code == 0 and manifest["seed"] == 7 and manifest["config"]["beta"] == 3.0
+    code, _ = run_cli(["--out", str(tmp_path / "plain"), "stability", "--k", "3",
+                       "--beta", "1", "--res", "6,6"], capsys)
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert code == 0 and manifest["seed"] == 1234
+    assert manifest["config"] == {"k": 3, "beta": 1.0, "window": [-12.0, 4.0, -8.0, 8.0],
+                                  "res": "6,6"}
+    code, _ = run_cli(["--out", str(tmp_path / "plain"), "verify", "--k", "2"], capsys)
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert code == 0 and manifest["seed"] == 1234 and manifest["config"]["beta"] == 1.0
 
 
 def test_usage_errors_exit_1_not_the_unstable_code_2(tmp_path, capsys):

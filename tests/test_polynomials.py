@@ -27,6 +27,12 @@ def test_critical_points_stop_at_cubic_derivatives():
         real_critical_points([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 
 
+def test_critical_points_of_a_nearly_triple_root():
+    # p' = y^2 (4 y + 1.3e-129): the depressed cubic's p * m underflows to 0
+    crit = real_critical_points([0.0, 0.0, 0.0, 4.470489606421552e-130, 1.0])
+    assert len(crit) == 3 and max(abs(x) for x in crit) < 1e-100
+
+
 def test_roots_difference_of_squares():
     r = sorted(roots([-1.0, 0.0, 1.0]).real)
     assert np.allclose(r, [-1.0, 1.0])

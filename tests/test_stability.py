@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaimex import coeffs
+from betaimex import coeffs, stability
 from betaimex.stability import (_CHUNK, DEFAULT_WINDOW, characteristic_coeffs,
                                 is_stable, scan_region)
 from oracles import boundary_locus, eig_scan_mask
@@ -116,12 +116,23 @@ def test_scan_mask_equals_the_eigensolve_route_bit_for_bit(k, beta):
 
 
 def test_scan_mask_equals_the_eigensolve_route_across_a_chunk_seam():
-    # 257 * 256 points: the last row of the grid is a second chunk of its own
+    # 257 * 256 points span several chunks, the last of them partial
     grid = scan_region(4, 1.0, resolution=(257, 256))
     assert grid.mask.size > _CHUNK
     tail = grid.mask.ravel()[_CHUNK:]
     assert tail.any() and not tail.all()
     assert np.array_equal(grid.mask, eig_scan_mask(4, 1.0, DEFAULT_WINDOW, (257, 256)))
+
+
+@pytest.mark.parametrize("k,beta,resolution", [(4, 1.0, (200, 200)), (4, 1.0, (257, 256)),
+                                               (5, 3.0, (200, 200))])
+def test_scan_mask_does_not_depend_on_the_chunk_size(monkeypatch, k, beta, resolution):
+    # chunks of an odd size cut rows at other points and leave a partial
+    # last chunk; every mask bit must stay
+    want = scan_region(k, beta, resolution=resolution)
+    monkeypatch.setattr(stability, "_CHUNK", 1000)
+    got = scan_region(k, beta, resolution=resolution)
+    assert np.array_equal(got.mask, want.mask) and got.area == want.area
 
 
 @pytest.mark.parametrize("k,beta", [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 3.0)])
