@@ -33,6 +33,8 @@ from .outputs import (write_csv, write_field_snapshot, write_json,
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
+# 100 times the longest sweep in use (1,001 shifts); every shift is built up front
+MAX_GRID_STEPS = 100_000
 
 
 def _ensure_outdir(args):
@@ -101,6 +103,8 @@ def _beta_grid(spec_str):
         raise ValueError("--grid needs a finite lo, hi, step and point count")
     # finite parts with lo <= hi put lo on the grid, so it is never empty
     n = int(round((hi - lo) / step))
+    if n > MAX_GRID_STEPS:
+        raise ValueError(f"--grid has {n} steps, more than {MAX_GRID_STEPS}")
     return [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
 
 

@@ -149,9 +149,9 @@ def _integer_record(k, beta):
 
 
 def _build(k, beta) -> SchemeCoefficients:
-    # no beta >= 1 guard: the fifth-order root-modulus sweep covers [0, 100].
-    # A float shift gets each rational rounded once: int / int is correctly
-    # rounded
+    # no beta >= 1 guard: only the tests call this below 1 (`verify` reads
+    # `_integer_record` itself).  A float shift gets each rational rounded
+    # once: int / int is correctly rounded
     entry = Fraction if isinstance(beta, Fraction) else operator.truediv
     a, b, c, d = (tuple(entry(x, den) for x in nums)
                   for nums, den in _integer_record(k, Fraction(beta)))

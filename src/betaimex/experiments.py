@@ -151,7 +151,6 @@ def theory_radius(t: float) -> float:
 class RadiusReport:
     k: int
     beta: float
-    dt: float
     times: tuple
     radius: tuple
     radius_theory: tuple
@@ -194,7 +193,7 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     times = tuple(summary.times)
     final = (None if summary.final_state is None
              else np.fft.irfft2(summary.final_state, s=grid.shape))
-    return RadiusReport(k=config.k, beta=config.beta, dt=dt, times=times,
+    return RadiusReport(k=config.k, beta=config.beta, times=times,
                         radius=tuple(summary.values),
                         radius_theory=tuple(theory_radius(t) for t in times),
                         diverged=summary.diverged, blowup_step=summary.blowup_step,

@@ -12,12 +12,13 @@ One step solves
 which is a per-mode solve.  k = 1 (classical backward-Euler IMEX) is
 supported as the baseline scheme; orders 2..5 come from `coeffs`.
 
-`initialize` builds a `StepPlan` once per run: the a-, b- and c-weights as one
-(3, k) matrix per ring offset, and the inverse 1/(a[k]/dt + b[k-1] L).  The
-k levels live in one (k, ...) array used as a ring.  `step` forms the three
-weighted sums with one matmul on the real view of that ring, multiplies the
-b-sum by L and the result by the inverse once, and checks the new level with
-one max |u| pass.
+`initialize` returns an `IntegratorState` that owns its problem: the
+`ProblemSpec`, the a-, b- and c-weights as one (3, k) matrix per ring offset,
+and the inverse 1/(a[k]/dt + b[k-1] L) of that problem's symbol, all computed
+once per run.  The k levels live in one (k, ...) array used as a ring.
+`step(state)` forms the three weighted sums with one matmul on the real view
+of that ring, multiplies the b-sum by L and the result by the inverse once,
+and checks the new level with one max |u| pass.
 
 Ring contract: `step` advances the state in place and returns the same
 object; the new level overwrites the slot of the oldest one.  `state.newest`
@@ -75,45 +76,27 @@ class ProblemSpec:
             raise ValueError("linear symbol must be nonnegative (L positive semidefinite)")
 
 
-@dataclass(frozen=True)
-class StepPlan:
-    """What `step` needs of one scheme at one dt and symbol, computed once.
-
-    `weights[h]` is the (3, k) matrix of the a-, b- and c-sums for a ring
-    whose oldest level sits in slot h: the weight of level q (oldest first)
-    is in the column of its slot, (h + q) % k.  The rows carry the sign with
-    which they enter the right-hand side: -a[q]/dt, -b[q - 1] (0 for the
-    oldest level) and c[q].  `inverse` is 1/(a[k]/dt + b[k-1] L).
-    """
-
-    weights: np.ndarray
-    inverse: np.ndarray
-
-
-def _step_plan(rec: SchemeCoefficients, dt, symbol) -> StepPlan:
-    k = rec.k
-    w = np.zeros((3, k))
-    w[0] = [-float(v) / dt for v in rec.a[:k]]
-    w[1, 1:] = [-float(v) for v in rec.b[:k - 1]]
-    w[2] = [float(v) for v in rec.c[:k]]
-    return StepPlan(weights=np.stack([np.roll(w, h, axis=1) for h in range(k)]),
-                    inverse=1.0 / (float(rec.a[k]) / dt + float(rec.b[k - 1]) * symbol))
-
-
 @dataclass
 class IntegratorState:
-    """The k most recent levels in a ring, the step count and the plan.
+    """A run's problem, its k most recent levels in a ring and the step count.
 
     `ring[(head + q) % k]` holds level n - k + 1 + q, so `head` is the slot
-    of the oldest level.  `sums` is the scratch for the three weighted sums.
+    of the oldest level.  `weights[h]` is the (3, k) matrix of the a-, b- and
+    c-sums when the oldest level sits in slot h: the weight of level q (oldest
+    first) is in the column of its slot, (h + q) % k.  The rows carry the
+    sign with which they enter the right-hand side: -a[q]/dt, -b[q - 1] (0
+    for the oldest level) and c[q].  `inverse` is 1/(a[k]/dt + b[k-1] L) for
+    the symbol of `spec`.  `sums` is the scratch for the three weighted sums.
     """
 
+    spec: ProblemSpec
     ring: np.ndarray
     head: int
     n: int
     dt: float
     coefficients: SchemeCoefficients
-    plan: StepPlan
+    weights: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
     sums: np.ndarray = field(repr=False)
 
     @property
@@ -169,7 +152,7 @@ def _imex1_history(spec, k, dt):
 
 
 def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
-    """Fill the k-level history and build the step plan.
+    """Fill the k-level history of `spec` and the weights and inverse that `step` uses.
 
     starter: None for the default start, `STARTER_SUBSTEPS` backward-Euler
     IMEX substeps per dt from `spec.u0` (implicit in L, so any nonnegative
@@ -196,10 +179,16 @@ def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     if denom_min <= 0:
         raise ValueError("implicit solve is not positive definite "
                          f"(a_k/dt + b_(k-1)*lambda_min = {denom_min:g})")
+    k = rec.k
+    w = np.zeros((3, k))
+    w[0] = [-float(v) / dt for v in rec.a[:k]]
+    w[1, 1:] = [-float(v) for v in rec.b[:k - 1]]
+    w[2] = [float(v) for v in rec.c[:k]]
     dtype = np.complex128 if any(np.iscomplexobj(lv) for lv in levels) else np.float64
     ring = np.array(levels, dtype=dtype)
-    return IntegratorState(ring=ring, head=0, n=k - 1, dt=dt, coefficients=rec,
-                           plan=_step_plan(rec, dt, spec.linear_symbol),
+    return IntegratorState(spec=spec, ring=ring, head=0, n=k - 1, dt=dt, coefficients=rec,
+                           weights=np.stack([np.roll(w, h, axis=1) for h in range(k)]),
+                           inverse=1.0 / (a_lead / dt + b_lead * spec.linear_symbol),
                            sums=np.empty((3,) + ring.shape[1:], dtype))
 
 
@@ -210,19 +199,19 @@ def _real_rows(a):
 
 def _weighted_sums(state: IntegratorState) -> np.ndarray:
     """The a-, b- and c-sums of the history as the rows of `state.sums`, by one matmul."""
-    np.matmul(state.plan.weights[state.head], _real_rows(state.ring),
+    np.matmul(state.weights[state.head], _real_rows(state.ring),
               out=_real_rows(state.sums))
     return state.sums
 
 
-def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
-    """Advance one level in place and return the same state (see the ring contract).
+def step(state: IntegratorState) -> IntegratorState:
+    """Advance `state.spec` one level in place and return the same state.
 
-    `spec` must be the problem the state was initialised with: the plan's
-    inverse holds its linear symbol.  On a blow-up the state is left as it
-    was, and the error carries a copy of the newest level.
+    The new level takes the oldest level's slot (see the ring contract).  On
+    a blow-up the state is left as it was, and the error carries a copy of the
+    newest level.
     """
-    dt = state.dt
+    spec, dt = state.spec, state.dt
     rhs, lin, mix = _weighted_sums(state)
     if len(state.ring) > 1:
         lin *= spec.linear_symbol
@@ -231,7 +220,7 @@ def step(state: IntegratorState, spec: ProblemSpec) -> IntegratorState:
         rhs -= spec.nonlinear(mix)
     if spec.source is not None:
         rhs += spec.source((state.n + float(state.coefficients.beta)) * dt)
-    rhs *= state.plan.inverse
+    rhs *= state.inverse
     try:
         _check_finite(rhs, state.n + 1, (state.n + 1) * dt)
     except BlowUpError as exc:
@@ -288,7 +277,7 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
             if i % stride == 0:
                 record(lv, i * dt)
         while state.n < nsteps:
-            state = step(state, spec)
+            state = step(state)
             if state.n % stride == 0 or state.n == nsteps:
                 record(state.newest, state.time)
     except BlowUpError as exc:

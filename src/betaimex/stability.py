@@ -45,7 +45,7 @@ def characteristic_coeffs(k, beta, z):
     """Ascending coefficients of pi(w) at z; an array z gives one row per point."""
     a, b, _ = scheme_coefficients(k, beta).arrays()
     zb = np.multiply.outer(np.asarray(z, dtype=complex), np.concatenate(([0.0], b)))
-    return np.subtract(a, zb, out=zb)  # in place: a scan chunk's rows are its largest array
+    return a - zb
 
 
 def _root_condition(roots):

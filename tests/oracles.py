@@ -658,8 +658,8 @@ def combine(weights, levels):
     return acc
 
 
-def reference_step(state, spec):
-    """The new level of one `integrate.step`, from the raw coefficients.
+def reference_step(state):
+    """The new level of one `integrate.step` of `state.spec`, from the raw coefficients.
 
     Rebuilds the weights, L * u for every history level and the denominator
     on every call, and checks the level with `isfinite` and max |u|.
@@ -671,6 +671,7 @@ def reference_step(state, spec):
     c = rec.c
     dt = state.dt
     hist = state.history
+    spec = state.spec
 
     rhs = np.zeros_like(hist[-1] + 0.0)
     for q in range(k):

@@ -141,13 +141,23 @@ def test_verify_at_a_large_representable_shift_keeps_its_report(tmp_path, capsys
 
 
 @pytest.mark.parametrize("grid", ["0:100:inf", "1:2:nan", "1:inf:1", "-inf:2:1",
-                                  "0:100:1e-320"])
+                                  "0:100:1e-320", "1:1e12:1"])
 def test_verify_refuses_non_finite_grids(tmp_path, capsys, grid):
     # an infinite step once checked no shift and passed; the others could not
-    # count their points; the last has more than a float can count
+    # count their points; 0:100:1e-320 has more than a float can count, and
+    # 1:1e12:1 more steps than `MAX_GRID_STEPS`, whose shifts would not fit
+    # in memory
     code = cli.main(["--out", str(tmp_path), "verify", "--k", "5", f"--grid={grid}"])
     assert code == 1 and "--grid" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.json"))
+
+
+def test_grid_takes_up_to_max_grid_steps():
+    assert len(cli._beta_grid("1:1e5:1")) == 100_000
+    grid = cli._beta_grid("0:1e5:1")  # exactly MAX_GRID_STEPS steps
+    assert len(grid) == 100_001 and grid[0] == 0.0 and grid[-1] == 1e5
+    with pytest.raises(ValueError, match="--grid"):
+        cli._beta_grid("0:100001:1")
 
 
 def test_verify_grid_ordered_by_beta(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_blowup_is_returned_with_the_step_that_step_raises():
     with pytest.raises(itg.BlowUpError) as err:
         for _ in range(50):
             last = state.newest
-            state = itg.step(state, spec)
+            state = itg.step(state)
     assert s.diverged and s.blowup_step == err.value.step == state.n + 1
     assert isinstance(s.blowup, itg.BlowUpError)
     assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
@@ -204,7 +204,7 @@ def test_first_order_baseline_is_backward_euler_imex():
     lam = 2.0
     spec = itg.ProblemSpec(linear_symbol=np.array([lam]), u0=np.array([1.0]))
     state = itg.initialize(spec, 1, 1.0, 0.1)
-    state = itg.step(state, spec)
+    state = itg.step(state)
     assert state.newest[0] == pytest.approx(1.0 / (1.0 + 0.1 * lam), rel=1e-14)
     with pytest.raises(ValueError):
         itg.initialize(spec, 1, 2.0, 0.1)
@@ -237,8 +237,8 @@ def test_planned_step_matches_reference_step(problem, k, beta):
     spec, exact, dt = problem()
     state = itg.initialize(spec, k, beta, dt, starter=exact)
     for _ in range(2 * k + 1):  # every ring offset, twice
-        want = reference_step(state, spec)
-        state = itg.step(state, spec)
+        want = reference_step(state)
+        state = itg.step(state)
         assert state.newest.dtype == want.dtype
         assert np.abs(state.newest - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -268,19 +268,54 @@ def test_weighted_sums_match_the_combine_oracle(problem, k, beta):
             want = combine(weights, levels).view(np.float64)
             scale = combine(np.abs(weights), [np.abs(lv.view(np.float64)) for lv in levels])
             assert np.all(np.abs(got - want) <= k * np.finfo(float).eps * scale)
-        itg.step(state, spec)
+        itg.step(state)
+
+
+@pytest.mark.parametrize("k,beta", _ORDERS)
+def test_stepping_by_hand_gives_the_levels_of_run(k, beta):
+    # `step` takes the problem from the state, so `initialize` and then
+    # `step(state)` reproduce what `run` observes and returns, bit for bit
+    spec, exact, dt = _half_spectrum_problem()
+    spec.u0 = exact(0.0)  # a half-spectrum, so the default starter runs
+    nsteps, stride = 4 * k + 1, 3
+    s = itg.run(spec, k, beta, dt, nsteps * dt, observe=lambda u, t: u.copy(), stride=stride)
+    state = itg.initialize(spec, k, beta, dt)
+    assert state.spec is spec
+    levels = [lv.copy() for lv in state.history]
+    while state.n < nsteps:
+        levels.append(itg.step(state).newest.copy())
+    observed = [n for n in range(nsteps + 1) if n % stride == 0 or n == nsteps]
+    assert s.times == [n * dt for n in observed] and s.final_time == state.time
+    for got, n in zip(s.values + [s.final_state], observed + [nsteps], strict=True):
+        assert got.dtype == levels[n].dtype == np.complex128
+        assert np.array_equal(got, levels[n])
+
+
+def test_states_of_two_problems_step_independently():
+    # the same scheme on L = (1, 2) and on L = (100, 200): each state steps
+    # its own problem, however the two are interleaved
+    specs = [itg.ProblemSpec(linear_symbol=np.array(lam), u0=np.array([1.0, 1.0]))
+             for lam in ([1.0, 2.0], [100.0, 200.0])]
+    runs = [itg.run(spec, 3, 2.0, 0.1, 1.0) for spec in specs]
+    states = [itg.initialize(spec, 3, 2.0, 0.1) for spec in specs]
+    while states[0].n < 10:
+        for state in states:
+            itg.step(state)
+    for state, s in zip(states, runs):
+        assert np.array_equal(state.newest, s.final_state)
+    assert not np.allclose(states[0].newest, states[1].newest)
 
 
 def test_step_advances_the_ring_in_place():
     spec, exact, dt = _real_vector_problem()
     k = 3
     state = itg.initialize(spec, k, 2.0, dt, starter=exact)
-    assert itg.step(state, spec) is state and state.n == k
+    assert itg.step(state) is state and state.n == k
     held, value = state.newest, state.newest.copy()
     for _ in range(k - 1):  # a level keeps its value for k - 1 more steps ...
-        itg.step(state, spec)
+        itg.step(state)
         assert np.array_equal(held, value)
-    itg.step(state, spec)  # ... and the k-th overwrites its slot
+    itg.step(state)  # ... and the k-th overwrites its slot
     assert np.shares_memory(held, state.newest) and not np.array_equal(held, value)
 
 
@@ -288,9 +323,9 @@ def test_run_hands_out_copies_of_the_ring(monkeypatch):
     # `run` calls `step` through the module global: record each state it steps
     seen, real_step = [], itg.step
 
-    def spy(state, spec):
+    def spy(state):
         seen.append(state)
-        return real_step(state, spec)
+        return real_step(state)
 
     monkeypatch.setattr(itg, "step", spy)
     spec, exact, dt = _real_vector_problem()
@@ -299,20 +334,21 @@ def test_run_hands_out_copies_of_the_ring(monkeypatch):
     assert len(seen) == 10 - (k - 1)
     final = s.final_state.copy()
     for _ in range(k + 1):
-        real_step(seen[-1], spec)
+        real_step(seen[-1])
     assert np.array_equal(s.final_state, final)
 
-    # the error's last finite level is a copy too: step the state it left on
-    # a calm problem with the same (zero) symbol
+    # the error's last finite level is a copy too: give the state it left a
+    # calm problem with the same (zero) symbol, so its inverse still holds,
+    # and step it
     wild = itg.ProblemSpec(linear_symbol=np.zeros(1), nonlinear=lambda u: -u ** 2,
                            u0=np.array([0.5]))
     seen.clear()
     s = itg.run(wild, 2, 1.0, 0.5, 25.0)
     last = s.blowup.last_state.copy()
     assert s.final_state is s.blowup.last_state
-    calm = itg.ProblemSpec(linear_symbol=np.zeros(1))
+    seen[-1].spec = itg.ProblemSpec(linear_symbol=np.zeros(1))
     for _ in range(3):
-        real_step(seen[-1], calm)
+        real_step(seen[-1])
     assert np.array_equal(s.blowup.last_state, last)
 
 

@@ -224,7 +224,7 @@ def test_fully_discrete_step_conserves_mass():
     state = itg.initialize(spec, 3, 3.0, 1e-7)
     mean0 = state.history[0][0, 0].real / (64 * 64)
     for _ in range(5):
-        state = itg.step(state, spec)
+        state = itg.step(state)
     mean = state.newest[0, 0].real / (64 * 64)
     assert abs(mean - mean0) < 1e-12
 
