@@ -140,10 +140,11 @@ def _imex1_history(spec, k, dt):
         t = i * dt
         for j in range(STARTER_SUBSTEPS):
             rhs = u / h
+            # not in place: a complex nonlinearity or source promotes a real u0
             if spec.nonlinear is not None:
-                rhs -= spec.nonlinear(u)
+                rhs = rhs - spec.nonlinear(u)
             if spec.source is not None:
-                rhs += spec.source(t + (j + 1) * h)
+                rhs = rhs + spec.source(t + (j + 1) * h)
             rhs *= inverse
             u = rhs
             _check_finite(u, i + 1, t + (j + 1) * h)  # level i + 1 is being built

@@ -17,6 +17,17 @@ radius 1 - `_BAND` proves most stable points; the pass at 1 + `_BAND` then runs
 only on the points it left open, and those with a root within `_BAND` of the
 unit circle go to the single-point check `is_stable`.
 
+The weights a and b are real, so pi at conj(z) has the conjugate
+coefficients of pi at z and the same root moduli: the region is symmetric
+about the real axis.  The Schur-Cohn steps use only +, -, *, /, conj and abs,
+which IEEE arithmetic carries through conjugation exactly, so the reduction
+reaches the same verdict at z and at conj(z).  (The eigensolve of `is_stable`
+has no such guarantee; its verdicts could differ only at a root within
+rounding of the ROOT_TOL and SEPARATION_TOL thresholds.)  A window with
+im_lo == -im_hi is therefore scanned on its first ceil(ny/2) imaginary columns
+only, and column ny-1-j is a copy of column j; any other window is scanned
+whole.
+
 Chunks are sized for the cache: a row of `_CHUNK` = 8192 complex points is
 128 KiB, so the two (k + 1)-row arrays the reduction alternates between take
 at most 1.5 MiB (k = 5) and stay in a 2 MiB L2.  Every chunk reuses one
@@ -76,7 +87,10 @@ class StabilityGrid:
     """Boolean stability mask over a rectangle of the z-plane.
 
     mask[i, j] is the verdict at re[i] = re_lo + (i+0.5)*dre,
-    im[j] = im_lo + (j+0.5)*dim (cell centres).
+    im[j] = im_lo + (j+0.5)*dim (cell centres).  On a window symmetric about
+    the real axis (im_lo == -im_hi), a cell of the upper half, j >= ceil(ny/2),
+    holds the verdict at re[i] - 1j*im[ny-1-j], the conjugate of its mirror
+    cell's centre; that equals the nominal centre up to rounding of im.
     """
 
     k: int
@@ -132,7 +146,10 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     dim = (im_hi - im_lo) / ny
     re = re_lo + (np.arange(nx) + 0.5) * dre
     im = im_lo + (np.arange(ny) + 0.5) * dim
-    z = (re[:, None] + 1j * im[None, :]).ravel()
+    # a window symmetric about the real axis is scanned once per conjugate pair
+    # of columns; the module docstring says why the mirror copy is exact
+    half = (ny + 1) // 2 if im_lo == -im_hi else ny
+    z = (re[:, None] + 1j * im[None, :half]).ravel()
 
     a, b, _ = scheme_coefficients(k, beta).arrays()
     b_ext = np.concatenate(([0.0], b))[:, None]
@@ -155,7 +172,8 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
             stable[i] = is_stable(k, beta, zc[i])
         mask[start:start + _CHUNK] = stable
 
-    mask = mask.reshape(nx, ny)
+    mask = mask.reshape(nx, half)
+    mask = np.concatenate((mask, mask[:, :ny - half][:, ::-1]), axis=1)
     area = float(mask.sum()) * dre * dim
     return StabilityGrid(k=k, beta=float(beta), re_lo=re_lo, re_hi=re_hi,
                          im_lo=im_lo, im_hi=im_hi, nx=nx, ny=ny,

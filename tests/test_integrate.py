@@ -291,6 +291,17 @@ def test_stepping_by_hand_gives_the_levels_of_run(k, beta):
         assert np.array_equal(got, levels[n])
 
 
+def test_default_starter_promotes_a_real_start_to_complex():
+    # the half-spectrum nonlinearity and source are complex, so the starter's
+    # substeps from a real zero field must give what a complex one gives
+    real, _, dt = _half_spectrum_problem()
+    cplx, _, _ = _half_spectrum_problem()
+    cplx.u0 = cplx.u0.astype(complex)
+    got, want = (itg.run(spec, 3, 2.0, dt, 0.1) for spec in (real, cplx))
+    assert got.final_state.dtype == np.complex128
+    assert np.array_equal(got.final_state, want.final_state)
+
+
 def test_states_of_two_problems_step_independently():
     # the same scheme on L = (1, 2) and on L = (100, 200): each state steps
     # its own problem, however the two are interleaved

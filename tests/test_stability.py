@@ -124,8 +124,47 @@ def test_scan_mask_equals_the_eigensolve_route_across_a_chunk_seam():
     assert np.array_equal(grid.mask, eig_scan_mask(4, 1.0, DEFAULT_WINDOW, (257, 256)))
 
 
+# a symmetric window scanned once per conjugate pair of columns: an odd ny
+# with its middle column, a fold across a chunk seam; and a window that is
+# not symmetric, scanned whole
+FOLD_CASES = [(4, 1.0, DEFAULT_WINDOW, (41, 41)), (3, 5.0, DEFAULT_WINDOW, (41, 41)),
+              (4, 1.0, DEFAULT_WINDOW, (257, 255)),
+              (4, 1.0, (-12.0, 4.0, -8.0, 7.0), (200, 200)),
+              (5, 3.0, (-12.0, 4.0, -8.0, 7.0), (41, 41))]
+
+
+@pytest.mark.parametrize("k,beta,window,resolution", FOLD_CASES)
+def test_folded_scan_equals_the_eigensolve_route_bit_for_bit(k, beta, window, resolution):
+    grid = scan_region(k, beta, window=window, resolution=resolution)
+    want = eig_scan_mask(k, beta, window, resolution)
+    assert want.any() and not want.all()
+    assert np.array_equal(grid.mask, want)
+
+
+@pytest.mark.parametrize("window,resolution,scanned", [
+    (DEFAULT_WINDOW, (200, 200), 200 * 100), (DEFAULT_WINDOW, (41, 41), 41 * 21),
+    (DEFAULT_WINDOW, (257, 255), 257 * 128), (DEFAULT_WINDOW, (3, 1), 3),
+    ((-12.0, 4.0, -8.0, 7.0), (200, 200), 200 * 200),
+    ((-12.0, 4.0, -8.0, 7.0), (41, 41), 41 * 41)])
+def test_symmetric_windows_are_scanned_once_per_conjugate_pair(monkeypatch, window,
+                                                               resolution, scanned):
+    # the first Schur-Cohn pass of each chunk sees every scanned point once
+    columns = []
+    schur_inside = stability._schur_inside
+
+    def spy(p, spare):
+        columns.append(p.shape[1])
+        return schur_inside(p, spare)
+
+    monkeypatch.setattr(stability, "_schur_inside", spy)
+    grid = scan_region(4, 1.0, window=window, resolution=resolution)
+    assert grid.mask.shape == resolution
+    # each chunk makes two calls, the inner pass and then the outer one
+    assert sum(columns[::2]) == scanned
+
+
 @pytest.mark.parametrize("k,beta,resolution", [(4, 1.0, (200, 200)), (4, 1.0, (257, 256)),
-                                               (5, 3.0, (200, 200))])
+                                               (5, 3.0, (200, 200)), (3, 5.0, (201, 201))])
 def test_scan_mask_does_not_depend_on_the_chunk_size(monkeypatch, k, beta, resolution):
     # chunks of an odd size cut rows at other points and leave a partial
     # last chunk; every mask bit must stay
