@@ -8,14 +8,13 @@ from .certificates import (CertificateReport, stability_condition, telescoping,
 from .integrate import (BlowUpError, IntegratorState, ProblemSpec,
                         TrajectorySummary, initialize, run, step)
 from .polynomials import roots, sylvester_resultant
-from .stability import StabilityGrid, characteristic_coeffs, is_stable, scan_region
+from .stability import StabilityGrid, is_stable, scan_region
 
 __all__ = [
     "__version__",
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
-    "TrajectorySummary",
-    "characteristic_coeffs", "eta",
+    "TrajectorySummary", "eta",
     "initialize", "is_stable", "roots", "run", "scan_region",
     "scheme_coefficients", "stability_condition", "step", "sylvester_resultant",
     "telescoping", "verify_certificate",

@@ -140,9 +140,9 @@ def _imex1_history(spec, k, dt):
         t = i * dt
         for j in range(STARTER_SUBSTEPS):
             rhs = u / h
-            # not in place: a complex nonlinearity or source promotes a real u0
             if spec.nonlinear is not None:
-                rhs = rhs - spec.nonlinear(u)
+                g = spec.nonlinear(u)  # in place unless g promotes a real u0
+                rhs = np.subtract(rhs, g, out=rhs if np.result_type(rhs, g) == rhs.dtype else None)
             if spec.source is not None:
                 rhs = rhs + spec.source(t + (j + 1) * h)
             rhs *= inverse

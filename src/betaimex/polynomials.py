@@ -1,10 +1,11 @@
-"""Dense univariate real polynomials: evaluation, roots, resultants, critical points.
+"""Dense univariate polynomials: evaluation, roots, resultants, critical points.
 
 A polynomial is a plain sequence of coefficients in ascending degree order,
 exact (int/Fraction) or float.  Root finding goes through the companion matrix
 (balanced eigensolve); resultants are computed exactly by the subresultant
-remainder sequence in integers, and whether an integer polynomial's roots
-all lie inside the unit disk by the Schur-Cohn reduction.
+remainder sequence in integers, and by the one exact root test, the Schur-Cohn
+reduction on Gaussian-integer coefficients, whether every root lies in the open
+unit disk or meets the root condition of the closed one.
 """
 from __future__ import annotations
 
@@ -84,20 +85,32 @@ def _prem(a, b):
     return _exact_trim(r[:n])
 
 
-def _roots_inside_unit_disk(p):
-    """Whether every root of the integer polynomial p has modulus below 1, exactly.
+def _roots_inside_unit_disk(p, closed=False):
+    """Whether every root of p lies in |w| < 1 or, closed, meets the root condition.
 
-    Schur-Cohn reduction: with p_0 and p_n the end coefficients, all n roots
-    lie inside iff |p_0| < |p_n| and all n - 1 roots of
-    (p_n p(z) - p_0 z^n p(1/z)) / z do; each step divides out the content.
+    p has Gaussian-integer coefficients, ints or (re, im) pairs of ints.
+    Schur-Cohn reduction: all n roots lie inside iff |p_0| < |p_n| and all
+    n - 1 roots of (conj(p_n) p(w) - p_0 p*(w)) / w do, p* the reversed
+    conjugate of p; each step divides out the content.  The root condition
+    (every root in |w| <= 1, those on the circle simple) adds Miller's branch
+    (Miller 1971): where that combination vanishes identically, p is
+    self-inversive and meets it iff every root of p' lies in |w| < 1.
     """
+    p = [(x, 0) if isinstance(x, int) else x for x in p]
     while len(p) > 1:
-        lo, hi = p[0], p[-1]
-        if abs(lo) >= abs(hi):
+        (a, b), (c, d) = p[0], p[-1]  # p_0 = a + bi, p_n = c + di
+        lo, hi = a * a + b * b, c * c + d * d
+        if lo > hi or (lo == hi and not closed):
             return False
-        p = [hi * x - lo * y for x, y in zip(p, reversed(p))][1:]
-        g = math.gcd(*p)
-        p = [x // g for x in p]
+        q = [(c * x + d * y - a * u - b * v, c * y - d * x - b * u + a * v)
+             for (x, y), (u, v) in zip(p[1:], reversed(p[:-1]))]
+        g = math.gcd(*[t for pair in q for t in pair])
+        if lo < hi:
+            p = [(x // g, y // g) for x, y in q]
+        elif g == 0 and hi:  # closed, and p is self-inversive
+            p, closed = [(i * x, i * y) for i, (x, y) in enumerate(p)][1:], False
+        else:
+            return False
     return True
 
 

@@ -10,23 +10,24 @@ z belongs to the stability region iff pi satisfies the root condition: all
 roots in the closed unit disk, roots on the boundary simple.
 
 `scan_region` applies the Schur-Cohn reduction (Miller 1971; Hairer-Wanner II,
-sec. V.1) to whole chunks of z at once, with no eigensolve.  A chunk holds its
-coefficients column-major, one row per power of w and one contiguous column
-per point, so each step of the reduction works on whole rows.  The pass at
-radius 1 - `_BAND` proves most stable points; the pass at 1 + `_BAND` then runs
-only on the points it left open, and those with a root within `_BAND` of the
-unit circle go to the single-point check `is_stable`.
+sec. V.1) to whole chunks of z at once, in floats and with no eigensolve.  A
+chunk holds its coefficients column-major, one row per power of w and one
+contiguous column per point, so each step of the reduction works on whole
+rows.  The pass at radius 1 - `_BAND` proves most stable points; the pass at
+1 + `_BAND` then runs only on the points it left open, and those with a root
+within `_BAND` of the unit circle go to `is_stable`.  That decides the root
+condition exactly, by Miller's closed-disk rule, on pi of the exact scheme at
+the exact (dyadic) value of z: a simple root on the circle, such as w = 1 at
+z = 0, passes, and a double one fails, with no tolerance.
 
 The weights a and b are real, so pi at conj(z) has the conjugate
 coefficients of pi at z and the same root moduli: the region is symmetric
-about the real axis.  The Schur-Cohn steps use only +, -, *, /, conj and abs,
-which IEEE arithmetic carries through conjugation exactly, so the reduction
-reaches the same verdict at z and at conj(z).  (The eigensolve of `is_stable`
-has no such guarantee; its verdicts could differ only at a root within
-rounding of the ROOT_TOL and SEPARATION_TOL thresholds.)  A window with
-im_lo == -im_hi is therefore scanned on its first ceil(ny/2) imaginary columns
-only, and column ny-1-j is a copy of column j; any other window is scanned
-whole.
+about the real axis.  The float Schur-Cohn steps use only +, -, *, /, conj and
+abs, which IEEE arithmetic carries through conjugation exactly, and the exact
+test sees the same root moduli, so the scan reaches the same verdict at z and
+at conj(z).  A window with im_lo == -im_hi is therefore scanned on its first
+ceil(ny/2) imaginary columns only, and column ny-1-j is a copy of column j;
+any other window is scanned whole.
 
 Chunks are sized for the cache: a row of `_CHUNK` = 8192 complex points is
 128 KiB, so the two (k + 1)-row arrays the reduction alternates between take
@@ -37,49 +38,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import scheme_coefficients
-
-ROOT_TOL = 1e-9
-SEPARATION_TOL = 1e-6
+from . import coeffs
+from .polynomials import _roots_inside_unit_disk
 
 DEFAULT_WINDOW = (-12.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = (600, 600)
 
 _CHUNK = 8192  # points per chunk; see the module docstring
-_BAND = 1e-6  # far above ROOT_TOL; the Schur-Cohn verdicts hold outside it
-
-
-def characteristic_coeffs(k, beta, z):
-    """Ascending coefficients of pi(w) at z; an array z gives one row per point."""
-    a, b, _ = scheme_coefficients(k, beta).arrays()
-    zb = np.multiply.outer(np.asarray(z, dtype=complex), np.concatenate(([0.0], b)))
-    return a - zb
-
-
-def _root_condition(roots):
-    mods = np.abs(roots)
-    if mods.max() > 1.0 + ROOT_TOL:
-        return False
-    near = roots[mods > 1.0 - ROOT_TOL]
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            if abs(near[i] - near[j]) <= SEPARATION_TOL:
-                return False
-    return True
+_BAND = 1e-6  # the float Schur-Cohn verdicts hold outside it
 
 
 def is_stable(k, beta, z):
-    """Root-condition check at one point z."""
-    coef = characteristic_coeffs(k, beta, z)
-    scale = np.abs(coef).max()
-    if abs(coef[-1]) <= 1e-14 * scale:
-        # leading coefficient vanished: one amplification factor escaped to
-        # infinity, so the root condition fails in any neighbourhood
-        return False
-    return _root_condition(np.roots(coef[::-1]))
+    """Root condition at one point z, decided exactly.
+
+    pi is taken on the scheme's exact weights at the exact (dyadic) value of
+    z, scaled to Gaussian-integer coefficients.
+    """
+    coeffs._check_order(k)
+    coeffs._admissibility_warning(k, coeffs._check_beta(beta))
+    (a, la), (b, lb), _, _ = coeffs._integer_record(k, Fraction(beta))
+    (zr, dr), (zi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    # la lb dr di pi(w): a[q] lb dr di - (zr di + i zi dr) b[q-1] la
+    return _roots_inside_unit_disk([(x * lb * dr * di - zr * di * y * la, -zi * dr * y * la)
+                                    for x, y in zip(a, [0] + b)], closed=True)
 
 
 @dataclass
@@ -151,7 +136,7 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     half = (ny + 1) // 2 if im_lo == -im_hi else ny
     z = (re[:, None] + 1j * im[None, :half]).ravel()
 
-    a, b, _ = scheme_coefficients(k, beta).arrays()
+    a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
     b_ext = np.concatenate(([0.0], b))[:, None]
     # r^q turns pi(w) into pi(r w), whose roots lie in |w| < 1 iff pi's lie in |w| < r
     powers = np.arange(k + 1)[:, None]
@@ -161,12 +146,11 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     for start in range(0, z.size, _CHUNK):
         zc = z[start:start + _CHUNK]
         coef, p, spare = work[:, :, :zc.size]
-        # characteristic_coeffs(k, beta, zc) transposed: one row per power
+        # the coefficients of pi at each point, one row per power of w; a
+        # vanishing leading coefficient fails both passes
         np.subtract(a[:, None], np.multiply(b_ext, zc, out=coef), out=coef)
-        scale = np.abs(coef[:k]).max(axis=0)
-        regular = np.abs(coef[k]) > 1e-14 * np.maximum(scale, 1.0)
-        stable = regular & _schur_inside(np.multiply(coef, inner, out=p), spare)
-        rest = np.nonzero(regular & ~stable)[0]
+        stable = _schur_inside(np.multiply(coef, inner, out=p), spare)
+        rest = np.nonzero(~stable)[0]
         p, spare = p[:, :rest.size], spare[:, :rest.size]
         for i in rest[_schur_inside(np.multiply(coef[:, rest], outer, out=p), spare)]:
             stable[i] = is_stable(k, beta, zc[i])

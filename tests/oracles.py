@@ -15,13 +15,14 @@ from complex exponentials on the unit circle, the closed-form (radical)
 telescoping expansions of the second- and third-order pairings with their
 check along a scalar sequence, the residual of the G-matrix identities
 against the Vandermonde record, a plain interval minimiser (companion-matrix
-critical points once the derivative is above cubic), the stability
-scan by batched companion-matrix eigensolves, the boundary locus of the
-stability region, the history sums as a loop of scaled adds, the stepper's
-arithmetic rebuilt from the raw coefficients on every call, the interface
-radius by a row loop, the free energy from physical-space derivatives and
-the manufactured source evaluated on the grid.  It also keeps the classical
-same-gamma condition, which only the tests use.
+critical points once the derivative is above cubic), the characteristic
+polynomial's float coefficients and the stability scan by batched
+companion-matrix eigensolves with their own root tolerances, the boundary
+locus of the stability region, the history sums as a loop of scaled adds,
+the stepper's arithmetic rebuilt from the raw coefficients on every call,
+the interface radius by a row loop, the free energy from physical-space
+derivatives and the manufactured source evaluated on the grid.  It also
+keeps the classical same-gamma condition, which only the tests use.
 """
 from __future__ import annotations
 
@@ -39,10 +40,13 @@ from betaimex.spectral import MANUFACTURED_PARAMS
 from betaimex.certificates import CertificateReport, telescoping
 from betaimex.polynomials import (_exact_trim, horner, real_critical_points, roots,
                                   sylvester_resultant)
-from betaimex.stability import ROOT_TOL, _root_condition, characteristic_coeffs
 
 F_SCALE = {2: 1.0, 3: 3.0, 4: 9.0, 5: 180.0}
 _EIG_CHUNK = 65536
+# the eigensolve route's root condition: a modulus within ROOT_TOL of 1 counts
+# as on the circle, and two such roots within SEPARATION_TOL as one double root
+ROOT_TOL = 1e-9
+SEPARATION_TOL = 1e-6
 
 # smallest admissible multiplier shifts of the classical schemes
 ETA_TILDE = {2: 0.0, 3: 0.0836, 4: 0.2878}
@@ -610,6 +614,25 @@ def _batched_max_root_modulus(coef_cols, lead):
     roots = np.linalg.eigvals(comp)
     rmax = np.abs(roots).max(axis=1)
     return rmax, roots
+
+
+def characteristic_coeffs(k, beta, z):
+    """Ascending float coefficients of pi(w) at z; an array z gives one row per point."""
+    a, b, _ = coeffs.scheme_coefficients(k, beta).arrays()
+    zb = np.multiply.outer(np.asarray(z, dtype=complex), np.concatenate(([0.0], b)))
+    return a - zb
+
+
+def _root_condition(roots):
+    mods = np.abs(roots)
+    if mods.max() > 1.0 + ROOT_TOL:
+        return False
+    near = roots[mods > 1.0 - ROOT_TOL]
+    for i in range(len(near)):
+        for j in range(i + 1, len(near)):
+            if abs(near[i] - near[j]) <= SEPARATION_TOL:
+                return False
+    return True
 
 
 def eig_scan_mask(k, beta, window, resolution):

@@ -104,6 +104,54 @@ def test_unit_disk_check_matches_the_root_moduli(p):
     assert _roots_inside_unit_disk(p) == bool(mods.max() < 1.0)
 
 
+# Miller's closed-disk rule: every root in |w| <= 1, those on the circle
+# simple.  A Gaussian integer is an (re, im) pair.
+@pytest.mark.parametrize("p,holds", [
+    ([1, -2, 1], False),  # (w - 1)^2
+    ([1, 0, 1], True),  # w^2 + 1
+    ([1, -2, -1, 2], True),  # (2w - 1)(w^2 - 1)
+    ([-1, 4, -5, 2], False),  # (2w - 1)(w - 1)^2
+    ([2, -5, 2], False),  # 2w^2 - 5w + 2: self-inversive, roots 2 and 1/2
+    ([(0, -1), 1], True),  # w - i
+    ([-1, (0, 2), 1], False),  # (w + i)^2
+    ([(-1, -1), 2], True),  # 2w - (1 + i)
+    ([-(10**9 + 1), 10**9], False),  # a root 1e-9 outside the circle
+    ([0, 1, 0], False),  # vanishing leading coefficient: a root at infinity
+])
+def test_root_condition_on_planted_polynomials(p, holds):
+    assert _roots_inside_unit_disk(p, closed=True) is holds
+
+
+# planted roots p / q as ((re, im), q): inside, on and outside the unit circle
+PLANTED_ROOTS = [((0, 0), 1), ((1, 1), 2), ((-1, 2), 3), ((1, 0), 1), ((-1, 0), 1),
+                 ((0, 1), 1), ((3, 4), 5), ((4, -3), 5), ((2, 1), 2), ((-3, 0), 2)]
+
+
+def _times(p, root):
+    # p(w) * (q w - r) on (re, im) pairs
+    (rr, ri), q = root
+    out = [(0, 0)] * (len(p) + 1)
+    for i, (x, y) in enumerate(p):
+        a, b = out[i]
+        out[i] = (a - (rr * x - ri * y), b - (rr * y + ri * x))
+        a, b = out[i + 1]
+        out[i + 1] = (a + q * x, b + q * y)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(PLANTED_ROOTS), min_size=1, max_size=5))
+def test_unit_disk_checks_match_planted_roots(planted):
+    p = [(1, 0)]
+    for root in planted:
+        p = _times(p, root)
+    moduli = [(r * r + i * i) - q * q for (r, i), q in planted]  # sign of |root| - 1
+    on_circle = [root for root, m in zip(planted, moduli) if m == 0]
+    assert _roots_inside_unit_disk(p) is (max(moduli) < 0)
+    assert _roots_inside_unit_disk(p, closed=True) is (
+        max(moduli) <= 0 and len(set(on_circle)) == len(on_circle))
+
+
 def test_sylvester_matrix_shape():
     # the oracle's matrix: deg 2 and deg 1 give 3 x 3
     rows = sylvester_matrix([1, 2, 3], [4, 5])

@@ -4,7 +4,7 @@ PUBLIC_NAMES = [
     "BlowUpError", "CertificateReport", "IntegratorState", "ProblemSpec",
     "SchemeCoefficients", "StabilityGrid",
     "TrajectorySummary", "__version__",
-    "characteristic_coeffs", "eta",
+    "eta",
     "initialize", "is_stable", "roots", "run",
     "scan_region", "scheme_coefficients", "stability_condition", "step",
     "sylvester_resultant", "telescoping", "verify_certificate",

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaimex import coeffs, stability
-from betaimex.stability import (_CHUNK, DEFAULT_WINDOW, characteristic_coeffs,
-                                is_stable, scan_region)
-from oracles import boundary_locus, eig_scan_mask
+from betaimex.polynomials import _integer_multiple, _roots_inside_unit_disk
+from betaimex.stability import _CHUNK, DEFAULT_WINDOW, is_stable, scan_region
+from oracles import boundary_locus, characteristic_coeffs, eig_scan_mask
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -37,6 +37,33 @@ def test_a_stability_samples_second_order():
     assert is_stable(2, 5.0, -10.0 + 5.0j)
     assert is_stable(2, 1.0, 0.0)  # simple amplification factor on the circle
     assert not is_stable(2, 1.0, 0.5)  # inside the classical instability lens
+
+
+ZERO_CASES = [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 2.0, 2.5, 3.0, 5.0, 7.0, 10.0)]
+
+
+@pytest.mark.parametrize("k,beta", ZERO_CASES)
+def test_zero_is_stable(k, beta):
+    # pi = a has the simple root w = 1 and its other roots inside (zero-stability)
+    assert is_stable(k, beta, 0.0)
+
+
+def _rounded_a_at_zero_holds(k, beta):
+    a, _ = _integer_multiple(coeffs.scheme_coefficients(k, beta).a)
+    return _roots_inside_unit_disk(a, closed=True)
+
+
+def test_the_rounded_weights_would_misjudge_zero():
+    # on the correctly rounded a the exact test loses the root w = 1 where the
+    # rounded a(1) falls below 0, as for classical BDF3; is_stable takes the
+    # exact weights instead
+    assert not _rounded_a_at_zero_holds(3, 1.0)
+    assert sum(not _rounded_a_at_zero_holds(k, beta) for k, beta in ZERO_CASES) == 8
+
+
+def test_the_pole_is_unstable():
+    # classical BDF2: the leading coefficient 3/2 - z of pi vanishes at z = 3/2
+    assert not is_stable(2, 1.0, 1.5)
 
 
 def _recurrence_bounded(k, beta, z, steps=10_000):
@@ -172,6 +199,25 @@ def test_scan_mask_does_not_depend_on_the_chunk_size(monkeypatch, k, beta, resol
     monkeypatch.setattr(stability, "_CHUNK", 1000)
     got = scan_region(k, beta, resolution=resolution)
     assert np.array_equal(got.mask, want.mask) and got.area == want.area
+
+
+@pytest.mark.parametrize("k,beta", ORACLE_CASES)
+def test_a_widened_band_moves_no_mask_bit(monkeypatch, k, beta):
+    # with _BAND = 1e-2 hundreds of cells over the 13 cases reach the exact
+    # test instead of the float passes; no verdict may change
+    want = scan_region(k, beta, resolution=(200, 200)).mask
+    exact = []
+
+    def spy(*args):
+        exact.append(args)
+        return is_stable(*args)
+
+    monkeypatch.setattr(stability, "is_stable", spy)
+    monkeypatch.setattr(stability, "_BAND", 1e-2)
+    got = scan_region(k, beta, resolution=(200, 200)).mask
+    assert exact
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, eig_scan_mask(k, beta, DEFAULT_WINDOW, (200, 200)))
 
 
 @pytest.mark.parametrize("k,beta", [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 3.0)])
