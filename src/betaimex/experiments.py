@@ -13,6 +13,11 @@ writer in `cli` serialises byte-identically:
 plus `k` and `beta`, which name the files, and, where there is a snapshot,
 the `grid` and `final_time` that place it.
 
+Every run goes through `_field_run`, which hands each observer the physical
+field of the observed level (one inverse FFT, shared by all it measures) and
+returns the fields every report holds.  Each driver builds its `ProblemSpec`
+once; the Cahn-Hilliard reference and schemes share one.
+
 Desk-scale presets (``small=True``) shrink the grids so the full suite runs
 in minutes; full-scale defaults are kept for offline reproduction runs.
 """
@@ -71,6 +76,26 @@ class ExperimentConfig:
             self.dt_sweep = sweep
 
 
+def _field_run(spec, grid, k, beta, dt, T, observe=None, stride=1, starter=None):
+    """`integrate.run` on a half-spectrum problem, seen in physical space.
+
+    `observe(u, t)` gets the physical field u of each observed level.
+    Returns the `TrajectorySummary` and a dict of the fields every report
+    holds: times, diverged, blowup_step, grid, final_values (the physical
+    field of the last finite level, None if the start blew up), final_time.
+    """
+    def physical(u_hat):
+        return np.fft.irfft2(u_hat, s=grid.shape)
+
+    summary = itg.run(spec, k, beta, dt, T, stride=stride, starter=starter,
+                      observe=None if observe is None
+                      else lambda u_hat, t: observe(physical(u_hat), t))
+    final = None if summary.final_state is None else physical(summary.final_state)
+    return summary, dict(times=tuple(summary.times), diverged=summary.diverged,
+                         blowup_step=summary.blowup_step, grid=grid,
+                         final_values=final, final_time=summary.final_time)
+
+
 @dataclass
 class ConvergenceReport:
     k: int
@@ -95,9 +120,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     n = 40 if config.resolution is None else config.resolution
     grid = sp.Grid2D(n, n, *sp.MANUFACTURED_DOMAIN)
     params = sp.MANUFACTURED_PARAMS
-    L = sp.linear_symbol(params, grid)
-    G = sp.nonlinear_fourier(params, grid)
-    source = sp.manufactured_source_fourier(grid)
     T = 1.0 if config.T is None else config.T
     dts = CONVERGENCE_DT_SWEEP if config.dt_sweep is None else config.dt_sweep
     if len(dts) < 4:
@@ -106,16 +128,19 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     def exact_state(t):
         return np.fft.rfft2(sp.manufactured_solution(grid, t))
 
+    spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(params, grid),
+                           nonlinear=sp.nonlinear_fourier(params, grid),
+                           source=sp.manufactured_source_fourier(grid),
+                           u0=exact_state(0.0))
+    exact = sp.manufactured_solution(grid, T)
     errors = []
     for dt in dts:
-        spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, source=source,
-                               u0=exact_state(0.0))
-        summary = itg.run(spec, config.k, config.beta, dt, T, starter=exact_state)
-        if summary.diverged:
+        _, fields = _field_run(spec, grid, config.k, config.beta, dt, T,
+                               starter=exact_state)
+        if fields["diverged"]:
             errors.append(float("inf"))
             continue
-        u = np.fft.irfft2(summary.final_state, s=grid.shape)
-        diff = u - sp.manufactured_solution(grid, T)
+        diff = fields["final_values"] - exact
         errors.append(math.sqrt(float((diff ** 2).sum()) * grid.cell_area))
     finite = [(d, e) for d, e in zip(dts, errors) if math.isfinite(e)]
     if len(finite) >= 2:
@@ -125,10 +150,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         slope = float("nan")
     return ConvergenceReport(k=config.k, beta=config.beta, dts=tuple(dts),
                              errors=tuple(errors), slope=slope)
-
-
-def _ac_grid(n):
-    return sp.Grid2D(n, n, 2.0, 2.0, x0=-1.0, y0=-1.0)
 
 
 def ac_initial_profile(grid: sp.Grid2D) -> np.ndarray:
@@ -178,26 +199,20 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     n = (256 if config.small else 512) if config.resolution is None else config.resolution
     T = (500.0 if config.small else 2000.0) if config.T is None else config.T
     dt = 0.75 if config.dt is None else config.dt
-    grid = _ac_grid(n)
-    L = sp.linear_symbol(AC_PARAMS, grid)
-    G = sp.nonlinear_fourier(AC_PARAMS, grid)
-    spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G,
+    grid = sp.Grid2D(n, n, 2.0, 2.0, x0=-1.0, y0=-1.0)
+    spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(AC_PARAMS, grid),
+                           nonlinear=sp.nonlinear_fourier(AC_PARAMS, grid),
                            u0=np.fft.rfft2(ac_initial_profile(grid)))
 
-    def radius_obs(u_hat, t):
-        return sp.radius_of_circle(grid, np.fft.irfft2(u_hat, s=grid.shape)) * AC_MAP_SCALE
+    def radius_obs(u, t):
+        return sp.radius_of_circle(grid, u) * AC_MAP_SCALE
 
     stride = max(1, int(round(T / dt)) // 100)
-    summary = itg.run(spec, config.k, config.beta, dt, T, observe=radius_obs,
-                      stride=stride)
-    times = tuple(summary.times)
-    final = (None if summary.final_state is None
-             else np.fft.irfft2(summary.final_state, s=grid.shape))
-    return RadiusReport(k=config.k, beta=config.beta, times=times,
-                        radius=tuple(summary.values),
-                        radius_theory=tuple(theory_radius(t) for t in times),
-                        diverged=summary.diverged, blowup_step=summary.blowup_step,
-                        grid=grid, final_values=final, final_time=summary.final_time)
+    summary, fields = _field_run(spec, grid, config.k, config.beta, dt, T,
+                                 observe=radius_obs, stride=stride)
+    return RadiusReport(k=config.k, beta=config.beta, radius=tuple(summary.values),
+                        radius_theory=tuple(theory_radius(t) for t in summary.times),
+                        **fields)
 
 
 def ch_preset(small: bool) -> dict:
@@ -213,18 +228,18 @@ def ch_initial_state(n: int, seed: int) -> np.ndarray:
 class SchemeVerdict:
     k: int
     beta: float
-    stable: bool
-    blowup_step: Optional[int]
     times: tuple
     energy: tuple
     ref_distance: tuple
+    diverged: bool = False
+    blowup_step: Optional[int] = None
+    grid: Optional[sp.Grid2D] = None
     final_values: Optional[np.ndarray] = None
     final_time: Optional[float] = None
-    grid: Optional[sp.Grid2D] = None
 
     @property
-    def diverged(self) -> bool:
-        return not self.stable
+    def stable(self) -> bool:
+        return not self.diverged
 
     def rows(self):
         return list(zip(self.times, self.energy, self.ref_distance))
@@ -242,31 +257,19 @@ class CahnHilliardReport:
     reference_checksum: Optional[str] = None
 
 
-def _ch_problem(preset, seed):
-    n = preset["n"]
-    grid = sp.Grid2D(n, n, 1.0, 1.0)
-    params = sp.PhaseFieldParams(mobility=1.0, eps=preset["eps"], alpha=1)
-    L = sp.linear_symbol(params, grid)
-    G = sp.nonlinear_fourier(params, grid)
-    u0 = ch_initial_state(n, seed)
-    return grid, params, L, G, u0
-
-
-def ch_reference_trajectory(preset, seed, stride):
+def ch_reference_trajectory(spec, grid, preset, stride):
     """Fine-step classical fourth-order trajectory at every `stride`-th preset step.
 
-    The fine step is dt / ref_dt_ratio.  Returns (snapshots keyed by the
-    rounded time i * dt of preset step i, sha256 checksum).  A blow-up of the
-    reference run raises a RuntimeError that names the reference run and its
-    step in fine steps, chained from the run's `BlowUpError`.
+    Runs `spec`, the problem the schemes share, at the fine step dt /
+    ref_dt_ratio.  Returns (physical snapshots keyed by the preset step
+    number, sha256 checksum).  A blow-up of the reference
+    run raises a RuntimeError that names the reference run and its step in
+    fine steps, chained from the run's `BlowUpError`.
     """
-    grid, params, L, G, u0 = _ch_problem(preset, seed)
     ratio = preset["ref_dt_ratio"]
     dt = preset["dt"] / ratio
-    spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.rfft2(u0))
-    summary = itg.run(spec, 4, 1.0, dt, preset["T"],
-                      observe=lambda u_hat, t: np.fft.irfft2(u_hat, s=grid.shape),
-                      stride=ratio * stride)
+    summary, _ = _field_run(spec, grid, 4, 1.0, dt, preset["T"],
+                            observe=lambda u, t: u, stride=ratio * stride)
     err = summary.blowup
     if err is not None:
         raise RuntimeError(f"reference run (k=4, beta=1, dt = {dt:g}) blew up at "
@@ -275,7 +278,7 @@ def ch_reference_trajectory(preset, seed, stride):
     for t, u in zip(summary.times, summary.values):
         n = round(t / dt)
         if n % (ratio * stride) == 0:  # the final step may fall off the stride
-            snapshots[round(n // ratio * preset["dt"], 12)] = u
+            snapshots[n // ratio] = u
     digest = hashlib.sha256()
     for key in sorted(snapshots):
         digest.update(snapshots[key].tobytes())
@@ -290,37 +293,32 @@ def run_cahn_hilliard(config: ExperimentConfig,
         if value is not None:
             preset[key] = value
     schemes = config.schemes or ((2, 1.0), (3, 1.0), (4, 1.0), (3, 3.0), (4, 2.5))
-    grid, params, L, G, u0 = _ch_problem(preset, config.seed)
+    n = preset["n"]
+    grid = sp.Grid2D(n, n, 1.0, 1.0)
+    params = sp.PhaseFieldParams(mobility=1.0, eps=preset["eps"], alpha=1)
+    spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(params, grid),
+                           nonlinear=sp.nonlinear_fourier(params, grid),
+                           u0=np.fft.rfft2(ch_initial_state(n, config.seed)))
     dt = preset["dt"]
     nsteps = int(round(preset["T"] / dt))
     stride = max(1, nsteps // 60)
 
-    reference = {}
-    checksum = None
-    if with_reference:
-        reference, checksum = ch_reference_trajectory(preset, config.seed, stride)
+    reference, checksum = (ch_reference_trajectory(spec, grid, preset, stride)
+                           if with_reference else ({}, None))
+
+    def observe(u, t):
+        # energy and distance to the reference snapshot of the same preset step
+        ref = reference.get(round(t / dt))
+        dist = (float("nan") if ref is None
+                else math.sqrt(float(((u - ref) ** 2).sum()) * grid.cell_area))
+        return sp.free_energy(params, grid, u), dist
 
     report = CahnHilliardReport(preset=preset, seed=config.seed,
                                 reference_checksum=checksum)
     for k, beta in schemes:
-        spec = itg.ProblemSpec(linear_symbol=L, nonlinear=G, u0=np.fft.rfft2(u0))
-
-        def observe(u_hat, t):
-            # energy and distance to the reference snapshot from one inverse FFT
-            u = np.fft.irfft2(u_hat, s=grid.shape)
-            ref = reference.get(round(t, 12))
-            dist = (float("nan") if ref is None
-                    else math.sqrt(float(((u - ref) ** 2).sum()) * grid.cell_area))
-            return sp.free_energy(params, grid, u), dist
-
-        summary = itg.run(spec, k, beta, dt, preset["T"], observe=observe,
-                          stride=stride)
-        final = (None if summary.final_state is None
-                 else np.fft.irfft2(summary.final_state, s=grid.shape))
+        summary, fields = _field_run(spec, grid, k, beta, dt, preset["T"],
+                                     observe=observe, stride=stride)
         report.verdicts.append(SchemeVerdict(
-            k=k, beta=beta, stable=not summary.diverged,
-            blowup_step=summary.blowup_step, times=tuple(summary.times),
-            energy=tuple(e for e, _ in summary.values),
-            ref_distance=tuple(d for _, d in summary.values),
-            final_values=final, final_time=summary.final_time, grid=grid))
+            k=k, beta=beta, energy=tuple(e for e, _ in summary.values),
+            ref_distance=tuple(d for _, d in summary.values), **fields))
     return report
