@@ -110,3 +110,15 @@ def test_sensitive_class_keeps_the_cahn_hilliard_blowup_steps(seed):
         name="cahn-hilliard", small=True, T=1e-3, seed=seed,
         schemes=((3, 1.0), (4, 1.0))), with_reference=False)
     assert tuple(v.blowup_step for v in report.verdicts) == SENSITIVE_CH_BLOWUPS[seed]
+
+
+def test_cahn_hilliard_reference_reaches_t_and_leaves_the_schemes_alone():
+    # 125 preset steps observed at stride 2: the level at T falls off the stride
+    config = ExperimentConfig(name="cahn-hilliard", small=True, resolution=32, T=2.5e-4)
+    report = run_cahn_hilliard(config)
+    alone = run_cahn_hilliard(config, with_reference=False)
+    stable = [v for v in report.verdicts if v.stable]
+    assert stable and all(math.isfinite(v.ref_distance[-1]) for v in stable)
+    # the reference run shares the schemes' ProblemSpec and must not touch it
+    assert [(v.energy, v.blowup_step) for v in report.verdicts] == \
+        [(v.energy, v.blowup_step) for v in alone.verdicts]
