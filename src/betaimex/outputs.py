@@ -5,6 +5,7 @@ keys, no timestamps), so reruns with the same config and seed can be diffed.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -19,23 +20,27 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
+@contextlib.contextmanager
+def _writing(path, kind, mode="w", **kwargs):
+    """open(path, mode) whose OSErrors name the kind of file and its path."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        with open(path, mode, **kwargs) as fh:
+            yield fh
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows):
+    with _writing(path, "CSV", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_json(path, payload):
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+    with _writing(path, "JSON") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_pgm(path, mask):
@@ -46,22 +51,16 @@ def write_pgm(path, mask):
     """
     image = (np.asarray(mask).T[::-1, :]).astype(np.uint8) * 255
     h, w = image.shape
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(image.tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write PGM to {path}: {exc}") from exc
+    with _writing(path, "PGM", "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(image.tobytes())
 
 
 def write_field_snapshot(stem, grid, values, t):
     """Field snapshot: row-major float64 at `stem.f64` plus `stem.json` metadata."""
     arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    try:
-        with open(stem + ".f64", "wb") as fh:
-            fh.write(arr.tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write field snapshot to {stem}.f64: {exc}") from exc
+    with _writing(stem + ".f64", "field snapshot", "wb") as fh:
+        fh.write(arr.tobytes())
     write_json(stem + ".json", {"nx": grid.nx, "ny": grid.ny,
                                 "Lx": grid.Lx, "Ly": grid.Ly, "t": t})
 

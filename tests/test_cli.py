@@ -445,6 +445,15 @@ def test_internal_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_names_the_file_and_exits_1(tmp_path, capsys):
+    (tmp_path / "manifest.json").mkdir()
+    code = cli.main(["--out", str(tmp_path), "stability", "--k", "2", "--beta", "1",
+                     "--res", "8,8"])
+    assert code == 1
+    want = f"error: cannot write JSON to {tmp_path / 'manifest.json'}: "
+    assert capsys.readouterr().err.startswith(want)
+
+
 def test_program_prints_warnings_without_source_location(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
