@@ -262,9 +262,9 @@ def ch_reference_trajectory(spec, grid, preset, stride):
 
     Runs `spec`, the problem the schemes share, at the fine step dt /
     ref_dt_ratio.  Returns (physical snapshots keyed by the preset step
-    number, sha256 checksum).  A blow-up of the reference
-    run raises a RuntimeError that names the reference run and its step in
-    fine steps, chained from the run's `BlowUpError`.
+    number, sha256 checksum).  A blow-up of the reference run raises a
+    RuntimeError that names the reference run and its step in fine steps,
+    chained from the run's `BlowUpError`.
     """
     ratio = preset["ref_dt_ratio"]
     dt = preset["dt"] / ratio
