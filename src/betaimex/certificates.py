@@ -231,18 +231,23 @@ def _build_report(k, beta):
                              failure_witness=witness)
 
 
-def verify_certificate(k, beta) -> CertificateReport:
-    """Run the full multiplier check for one (k, beta).
-
-    Orders 2-4 take beta >= 1 and warn below the admissible shift; order 5
-    takes any beta in [0, 100], the range of the root-modulus claim.
-    """
+def _check_shift(k, beta):
+    """`verify_certificate` without the report: its domain check and warning."""
     coeffs._check_order(k)
     if k == 5:
         if not 0 <= beta <= 100:
             raise ValueError(f"k=5 verification shift beta={beta} must lie within [0, 100]")
     else:
         coeffs._admissibility_warning(k, coeffs._check_beta(beta))
+
+
+def verify_certificate(k, beta) -> CertificateReport:
+    """Run the full multiplier check for one (k, beta).
+
+    Orders 2-4 take beta >= 1 and warn below the admissible shift; order 5
+    takes any beta in [0, 100], the range of the root-modulus claim.
+    """
+    _check_shift(k, beta)
     return _build_report(k, beta)
 
 

@@ -4,6 +4,14 @@ Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
 The three experiments share one path: `EXPERIMENTS` maps each subcommand to
 its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
+`verify`, `allen-cahn` and `converge` run their independent jobs (a share of
+the beta grid, a scheme, a shift) on forked workers, one per usable core, so
+the CPU affinity (`taskset -c 0`) caps them; with one usable core or one job
+they run in this process.  Files, stdout, stderr and exit codes do not depend
+on the core count: results are written in job order as they arrive, and the
+parent emits every admissibility warning, in job order, before the first
+job, whose runs then emit none.  `cahn-hilliard` runs in this process, since
+its fine-step reference run is most of its work.
 Global flags --out/--seed apply everywhere; a JSON config file can preload
 any flag (explicit command-line flags win).  `main` parses with one parser
 built on its first call and shared by every later call in the process; a
@@ -15,6 +23,7 @@ unstable, 1 usage or internal error.  Run as a program, warnings print as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,7 +33,8 @@ import warnings
 from fractions import Fraction
 
 from . import __version__, certificates, coeffs, stability
-from .experiments import (CONVERGENCE_DT_SWEEP, ExperimentConfig,
+from . import integrate as itg
+from .experiments import (CH_SCHEMES, CONVERGENCE_DT_SWEEP, ExperimentConfig,
                           run_allen_cahn_radius, run_cahn_hilliard,
                           run_convergence)
 from .outputs import (write_csv, write_field_snapshot, write_json,
@@ -35,6 +45,60 @@ EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 # 100 times the longest sweep in use (1,001 shifts); every shift is built up front
 MAX_GRID_STEPS = 100_000
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+_inherited = None  # (fn, jobs) of the pool a forked worker belongs to
+
+
+def _adopt(fn, jobs):
+    global _inherited
+    _inherited = fn, jobs
+
+
+def _job(index):
+    fn, jobs = _inherited
+    try:
+        return True, fn(jobs[index])
+    except Exception as exc:  # an exception may not pickle or rebuild; its message does
+        return False, str(exc)
+
+
+@contextlib.contextmanager
+def _ordered_map(fn, jobs):
+    """An iterator over fn(job) for each job of the sequence `jobs`, in order.
+
+    With two or more usable cores and jobs, and where the platform can fork,
+    the jobs run on a pool of min(cores, len(jobs)) forked workers, which
+    end with the block.  The workers inherit `fn` and `jobs` through the
+    fork, so neither is pickled; only results cross the pipe.  A job's error
+    is raised in its place, after the results before it, as a serial run
+    raises it, with its message.  Otherwise this is `map(fn, jobs)` in this
+    process.
+    """
+    workers = min(_usable_cores(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield map(fn, jobs)
+        return
+    import multiprocessing
+
+    # a worker flushes its copy of the standard streams when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_adopt, initargs=(fn, jobs)) as pool:
+        def results():
+            for ok, value in pool.imap(_job, range(len(jobs))):
+                if not ok:
+                    raise RuntimeError(value)
+                yield value
+        yield results()
 
 
 def _ensure_outdir(args):
@@ -113,7 +177,13 @@ def cmd_verify(args):
         betas = _beta_grid(args.grid)
     else:
         betas = [args.beta]
-    reports = [certificates.verify_certificate(args.k, b) for b in betas]
+    for b in betas:  # here, so the warnings come once each and in beta order
+        certificates._check_shift(args.k, b)
+    n = min(_usable_cores(), len(betas))
+    shares = [betas[i * len(betas) // n:(i + 1) * len(betas) // n] for i in range(n)]
+    with _ordered_map(lambda share: [certificates._build_report(args.k, b) for b in share],
+                      shares) as done:
+        reports = [r for share in done for r in share]
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)
     path = os.path.join(outdir, f"verify_k{args.k}.json")
@@ -153,15 +223,35 @@ def _parse_schemes(text):
     return given, schemes
 
 
+def _checked(run, flag, schemes):
+    """`run` of the (k, beta) pairs `schemes`, each checked before the first run.
+
+    A pair is resolved as its run will resolve it, and one the run would
+    refuse is an error that names `flag`.  The admissibility warnings come
+    from here, once each and in job order, which a pool's workers could not
+    keep; the `run` returned emits none.
+    """
+    for k, beta in schemes:
+        try:
+            itg._resolve_coefficients(k, beta)
+        except ValueError as exc:
+            raise ValueError(f"{flag} entry k={k}, beta={beta:g}: {exc}") from None
+
+    def quiet(*args, **kwargs):
+        with coeffs._admissibility_warnings_off():
+            return run(*args, **kwargs)
+    return quiet
+
+
 def _converge(args):
     sweep = tuple(float(d) for d in args.dts.split(",")) if args.dts else CONVERGENCE_DT_SWEEP
-    reports = (run_convergence(ExperimentConfig(
-        name=args.command, k=args.k, beta=beta, dt_sweep=sweep,
-        resolution=args.resolution, T=args.T, seed=args.seed))
-        for beta in _parse_betas(args.beta))
+    configs = [ExperimentConfig(name=args.command, k=args.k, beta=beta, dt_sweep=sweep,
+                                resolution=args.resolution, T=args.T, seed=args.seed)
+               for beta in _parse_betas(args.beta)]
+    run = _checked(run_convergence, "--beta", [(c.k, c.beta) for c in configs])
     manifest = {"k": args.k, "beta": args.beta, "dts": list(sweep),
                 "resolution": args.resolution, "T": args.T}
-    return reports, f"converge_k{args.k}.json", list, manifest
+    return _ordered_map(run, configs), f"converge_k{args.k}.json", list, manifest
 
 
 AC_SCHEMES = ((1, 1.0), (2, 1.0), (3, 3.0), (4, 3.0))  # allen-cahn without --schemes
@@ -171,28 +261,32 @@ def _allen_cahn(args):
     given, schemes = _parse_schemes(args.schemes)
     if given is None:
         given = schemes = AC_SCHEMES
-    reports = (run_allen_cahn_radius(ExperimentConfig(
-        name=args.command, k=k, beta=beta, dt=args.dt, resolution=args.resolution,
-        T=args.T, seed=args.seed, small=args.small))
-        for k, beta in schemes)
+    configs = [ExperimentConfig(name=args.command, k=k, beta=beta, dt=args.dt,
+                                resolution=args.resolution, T=args.T, seed=args.seed,
+                                small=args.small)
+               for k, beta in schemes]
+    run = _checked(run_allen_cahn_radius, "--schemes", schemes)
     manifest = {"schemes": given, "dt": args.dt, "resolution": args.resolution,
                 "T": args.T, "small": args.small}
-    return reports, "radius_summary.json", list, manifest
+    return _ordered_map(run, configs), "radius_summary.json", list, manifest
 
 
 def _cahn_hilliard(args):
     given, schemes = _parse_schemes(args.schemes)
-    report = run_cahn_hilliard(
-        ExperimentConfig(name=args.command, seed=args.seed, small=args.small, dt=args.dt,
-                         T=args.T, resolution=args.resolution, schemes=schemes),
-        with_reference=not args.no_reference)
+    config = ExperimentConfig(name=args.command, seed=args.seed, small=args.small,
+                              dt=args.dt, T=args.T, resolution=args.resolution,
+                              schemes=schemes)
+    run = _checked(run_cahn_hilliard, "--schemes", schemes or CH_SCHEMES)
+    # one run, not a pool of schemes: the fine-step reference is most of the work
+    report = run(config, with_reference=not args.no_reference)
 
     def summary(entries):
         return {"preset": report.preset, "seed": report.seed,
                 "reference_checksum": report.reference_checksum, "verdicts": entries}
 
     manifest = {"preset": report.preset, "small": args.small, "schemes": given}
-    return report.verdicts, "cahn_hilliard_summary.json", summary, manifest
+    return (contextlib.nullcontext(report.verdicts), "cahn_hilliard_summary.json", summary,
+            manifest)
 
 
 def _json_line(rep):
@@ -200,7 +294,8 @@ def _json_line(rep):
 
 
 # subcommand -> (run, CSV stem, CSV header, console line); `run(args)` returns
-# (reports, summary file name, summary of the as_dict() entries, manifest config)
+# (a context manager over the reports in order, summary file name, summary of
+# the as_dict() entries, manifest config)
 EXPERIMENTS = {
     "converge": (_converge, "converge", ["dt", "l2_error"],
                  lambda rep: f"k={rep.k} beta={rep.beta:g}: slope={rep.slope:.3f}"),
@@ -218,17 +313,18 @@ def cmd_experiment(args):
     """
     run, stem, header, line = EXPERIMENTS[args.command]
     outdir = _ensure_outdir(args)
-    reports, summary_name, summary, manifest = run(args)
+    results, summary_name, summary, manifest = run(args)
     entries, diverged = [], False
-    for rep in reports:
-        tag = f"k{rep.k}_beta{rep.beta:g}"
-        write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
-        if rep.final_values is not None:
-            write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
-                                 rep.final_values, rep.final_time)
-        entries.append(rep.as_dict())
-        diverged |= rep.diverged
-        print(line(rep))
+    with results as reports:
+        for rep in reports:
+            tag = f"k{rep.k}_beta{rep.beta:g}"
+            write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
+            if rep.final_values is not None:
+                write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
+                                     rep.final_values, rep.final_time)
+            entries.append(rep.as_dict())
+            diverged |= rep.diverged
+            print(line(rep))
     write_json(os.path.join(outdir, summary_name), summary(entries))
     write_manifest(outdir, args.command, manifest, args.seed)
     return EXIT_UNSTABLE if diverged else EXIT_OK

@@ -24,6 +24,7 @@ reports and identities take the integer record itself.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -110,6 +111,19 @@ def _admissibility_warning(k, beta):
     while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
+
+
+@contextlib.contextmanager
+def _admissibility_warnings_off():
+    """Drop the admissibility warnings within the block, and no other warning.
+
+    For runs whose shift is fixed by design or was already reported once.
+    """
+    with warnings.catch_warnings():
+        # the start of both messages of `_admissibility_warning`
+        warnings.filterwarnings("ignore", r"k=\d with beta=[^:]*: multiplier certificate",
+                                UserWarning)
+        yield
 
 
 def _lagrange_numerators(Y, derivative):

@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 def run_cli(args, capsys):
     code = cli.main(args)
+    assert not multiprocessing.active_children()  # no worker outlives a command
     out = capsys.readouterr().out
     return code, out
 
@@ -344,12 +347,122 @@ def test_schemes_accept_integral_float_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["allen-cahn", "cahn-hilliard"])
 @pytest.mark.parametrize("schemes", ["[[2.5,3]]", "[[2]]", "[]", '[["2",3]]', "[[true,1]]",
-                                     "[[2,3]"])
+                                     "[[2,3]", "[[3,3],[2,NaN]]", "[[3,3],[2,Infinity]]",
+                                     "[[3,3],[2,1e400]]", "[[3,3],[2,0.5]]", "[[3,3],[1,2]]",
+                                     "[[3,3],[6,7]]"])
 def test_schemes_rejects_bad_pairs(tmp_path, capsys, command, schemes):
+    # every pair is checked before the first run, here the full-scale (3, 3)
     code = cli.main(["--out", str(tmp_path), command, "--schemes", schemes])
     assert code == 1
     assert "--schemes" in capsys.readouterr().err
-    assert not any(tmp_path.glob("*.csv"))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("betas,why", [("1,nan", "finite"), ("1,inf", "finite"),
+                                       ("1,0.5", ">= 1")])
+def test_converge_rejects_bad_shifts_before_the_first_run(tmp_path, capsys, betas, why):
+    code = cli.main(["--out", str(tmp_path), "converge", "--k", "3", "--beta", betas])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --beta entry k=3, beta=") and why in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cahn_hilliard_warns_for_the_requested_schemes_only(tmp_path, capsys):
+    # the fine-step reference is the classical k = 4 at beta = 1 by design
+    for schemes, count in (("[[2,1]]", 0), ("[[4,1]]", 1)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _ = run_cli(["--out", str(tmp_path), "cahn-hilliard", "--small",
+                               "--resolution", "16", "--T", "1e-4", "--schemes", schemes],
+                              capsys)
+        assert code == 0
+        assert [str(w.message) for w in record if w.category is UserWarning] == \
+            ["k=4 with beta=1: multiplier certificate requires beta >= 2"] * count
+
+
+def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
+    def run(cores, fn, jobs):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        with cli._ordered_map(fn, jobs) as results:
+            got = list(results)
+        assert not multiprocessing.active_children()
+        return got
+
+    assert run(2, lambda j: j * j, range(7)) == run(1, lambda j: j * j, range(7)) == \
+        [j * j for j in range(7)]
+    # the workers inherit fn and the jobs, which need not pickle; one job stays here
+    pids = run(2, lambda job: os.getpid(), [lambda: 0] * 4)
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+    assert run(2, lambda job: os.getpid(), [None]) == [os.getpid()]
+
+    def fail_at_two(j):
+        if j == 2:
+            raise ValueError("job 2 failed")
+        return j
+
+    # an error is raised in its job's place, after the results before it
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        seen = []
+        with pytest.raises(Exception, match="^job 2 failed$"):
+            with cli._ordered_map(fail_at_two, range(4)) as results:
+                seen.extend(results)
+        assert seen == [0, 1] and not multiprocessing.active_children()
+
+
+POOLED = [
+    ["verify", "--k", "4", "--grid", "1:3:0.1"],
+    ["allen-cahn", "--resolution", "32", "--T", "30", "--dt", "5", "--schemes", "[[2,1],[3,3]]"],
+    ["converge", "--k", "3", "--beta", "1,3", "--resolution", "16",
+     "--dts", "0.05,0.025,0.0125,0.00625"],
+]
+
+
+@pytest.mark.parametrize("argv", POOLED, ids=lambda argv: argv[0])
+def test_program_output_does_not_depend_on_the_core_count(tmp_path, argv):
+    # as a program, stdout a pipe: files, stdout, stderr and exit code of a
+    # two-worker pool and of a serial run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    runs = []
+    for cores in (1, 2):
+        cwd = tmp_path / str(cores)
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"from betaimex import cli; cli._usable_cores = lambda: {cores}; cli.entry()",
+             "--out", "out", *argv], cwd=cwd, capture_output=True, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr, _tree(cwd / "out")))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if argv[0] == "converge" else 2)
+
+
+def test_a_failing_middle_job_leaves_what_a_serial_run_leaves(tmp_path, capsys, monkeypatch):
+    # 3 steps: (4, 3) cannot start, (2, 1) before it is written, (3, 3) after it is not
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        code = cli.main(["--out", str(tmp_path / str(cores)), "allen-cahn", "--resolution",
+                         "32", "--T", "15", "--dt", "5", "--schemes", "[[2,1],[4,3],[3,3]]"])
+        assert not multiprocessing.active_children()
+        runs.append((code, capsys.readouterr(), _tree(tmp_path / str(cores))))
+    assert runs[0] == runs[1]
+    code, captured, files = runs[0]
+    assert code == 1 and captured.err == "error: T must cover at least k steps\n"
+    assert sorted(files) == ["field_k2_beta1.f64", "field_k2_beta1.json",
+                             "radius_k2_beta1.csv"]
+
+
+def test_pooled_verify_warns_once_per_shift_in_beta_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    with pytest.warns(UserWarning) as record:
+        code = cli.main(["--out", str(tmp_path), "verify", "--k", "4", "--grid", "1:3:0.1"])
+    assert code == 2 and not multiprocessing.active_children()
+    assert [str(w.message) for w in record if w.category is UserWarning] == \
+        [f"k=4 with beta={b / 10:g}: multiplier certificate requires beta >= 2"
+         for b in range(10, 20)]
 
 
 def test_config_file_preloads_flags(tmp_path, capsys):

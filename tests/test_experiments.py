@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ def test_sensitive_class_keeps_the_cahn_hilliard_blowup_steps(seed):
         name="cahn-hilliard", small=True, T=1e-3, seed=seed,
         schemes=((3, 1.0), (4, 1.0))), with_reference=False)
     assert tuple(v.blowup_step for v in report.verdicts) == SENSITIVE_CH_BLOWUPS[seed]
+
+
+def test_cahn_hilliard_reference_takes_no_admissibility_warning():
+    # the reference is the classical k = 4 at beta = 1 by design; (2, 1) warns nothing
+    config = ExperimentConfig(name="cahn-hilliard", small=True, resolution=16, T=1e-4,
+                              schemes=((2, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_cahn_hilliard(config)
+    assert report.reference_checksum is not None
 
 
 def test_cahn_hilliard_reference_reaches_t_and_leaves_the_schemes_alone():
