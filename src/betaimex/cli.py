@@ -71,34 +71,43 @@ def _job(index):
 
 
 @contextlib.contextmanager
-def _ordered_map(fn, jobs):
+def _ordered_map(fn, jobs, shares=False):
     """An iterator over fn(job) for each job of the sequence `jobs`, in order.
 
     With two or more usable cores and jobs, and where the platform can fork,
     the jobs run on a pool of min(cores, len(jobs)) forked workers, which
-    end with the block.  The workers inherit `fn` and `jobs` through the
-    fork, so neither is pickled; only results cross the pipe.  A job's error
-    is raised in its place, after the results before it, as a serial run
-    raises it, with its message.  Otherwise this is `map(fn, jobs)` in this
-    process.
+    end with the block.  A worker takes one job at a time, or with `shares`,
+    for many short jobs, one contiguous share of them per worker.  The
+    workers inherit `fn` and `jobs` through the fork, so neither is pickled;
+    only job indices and results cross the pipe.  A job's error is raised in
+    its place, after the results before it, as a serial run raises it, with
+    its message; a worker that dies raises `BrokenProcessPool`.  Otherwise
+    this is `map(fn, jobs)` in this process.
     """
     workers = min(_usable_cores(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
         yield map(fn, jobs)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    # a worker flushes its copy of the standard streams when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_adopt, initargs=(fn, jobs)) as pool:
-        def results():
-            for ok, value in pool.imap(_job, range(len(jobs))):
-                if not ok:
-                    raise RuntimeError(value)
-                yield value
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(fn, jobs))
+    share = -(-len(jobs) // workers) if shares else 1
+
+    def results():
+        # the first submit forks, and a worker flushes its copy of the
+        # standard streams when it exits
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for ok, value in pool.map(_job, range(len(jobs)), chunksize=share):
+            if not ok:
+                raise RuntimeError(value)
+            yield value
+    try:
         yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _ensure_outdir(args):
@@ -179,11 +188,9 @@ def cmd_verify(args):
         betas = [args.beta]
     for b in betas:  # here, so the warnings come once each and in beta order
         certificates._check_shift(args.k, b)
-    n = min(_usable_cores(), len(betas))
-    shares = [betas[i * len(betas) // n:(i + 1) * len(betas) // n] for i in range(n)]
-    with _ordered_map(lambda share: [certificates._build_report(args.k, b) for b in share],
-                      shares) as done:
-        reports = [r for share in done for r in share]
+    with _ordered_map(functools.partial(certificates._build_report, args.k), betas,
+                      shares=True) as done:
+        reports = list(done)
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)
     path = os.path.join(outdir, f"verify_k{args.k}.json")

@@ -25,6 +25,7 @@ reports and identities take the integer record itself.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import operator
 import os
@@ -97,7 +98,14 @@ class SchemeCoefficients:
                 np.asarray(self.c, dtype=float))
 
 
+# true within `_admissibility_warnings_off`; a flag, not a warnings filter,
+# since changing the filters resets every module's once-only warning registry
+_admissibility_quiet = contextvars.ContextVar("_admissibility_quiet", default=False)
+
+
 def _admissibility_warning(k, beta):
+    if _admissibility_quiet.get():
+        return
     b = float(beta)
     if k == 4 and b < 2.0:
         message = f"k=4 with beta={b:g}: multiplier certificate requires beta >= 2"
@@ -119,11 +127,11 @@ def _admissibility_warnings_off():
 
     For runs whose shift is fixed by design or was already reported once.
     """
-    with warnings.catch_warnings():
-        # the start of both messages of `_admissibility_warning`
-        warnings.filterwarnings("ignore", r"k=\d with beta=[^:]*: multiplier certificate",
-                                UserWarning)
+    token = _admissibility_quiet.set(True)
+    try:
         yield
+    finally:
+        _admissibility_quiet.reset(token)
 
 
 def _lagrange_numerators(Y, derivative):

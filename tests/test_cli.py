@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -382,12 +383,13 @@ def test_cahn_hilliard_warns_for_the_requested_schemes_only(tmp_path, capsys):
 
 
 def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
-    def run(cores, fn, jobs):
+    def run(cores, fn, jobs, shares=False):
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        with cli._ordered_map(fn, jobs) as results:
-            got = list(results)
-        assert not multiprocessing.active_children()
-        return got
+        try:
+            with cli._ordered_map(fn, jobs, shares) as results:
+                return list(results)
+        finally:
+            assert not multiprocessing.active_children()
 
     assert run(2, lambda j: j * j, range(7)) == run(1, lambda j: j * j, range(7)) == \
         [j * j for j in range(7)]
@@ -400,6 +402,14 @@ def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
         if j == 2:
             raise ValueError("job 2 failed")
         return j
+
+    # with shares, one contiguous share of the jobs per worker
+    pids = run(2, lambda job: os.getpid(), [None] * 7, shares=True)
+    assert len(set(pids[:4])) == len(set(pids[4:])) == 1 and os.getpid() not in pids
+
+    # a worker that dies breaks the pool instead of hanging it
+    with pytest.raises(BrokenProcessPool):
+        run(2, lambda j: os._exit(3) if j == 1 else j, range(4))
 
     # an error is raised in its job's place, after the results before it
     for cores in (1, 2):
@@ -453,6 +463,23 @@ def test_a_failing_middle_job_leaves_what_a_serial_run_leaves(tmp_path, capsys, 
     assert code == 1 and captured.err == "error: T must cover at least k steps\n"
     assert sorted(files) == ["field_k2_beta1.f64", "field_k2_beta1.json",
                              "radius_k2_beta1.csv"]
+
+
+def test_a_dying_worker_ends_the_command_with_exit_1(tmp_path, capsys, monkeypatch):
+    real = cli.run_allen_cahn_radius
+
+    def run(config):
+        if config.k == 3:
+            os._exit(3)  # as an out-of-memory kill would end it
+        return real(config)
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "run_allen_cahn_radius", run)
+    code = cli.main(["--out", str(tmp_path), "allen-cahn", "--resolution", "32", "--T", "15",
+                     "--dt", "5", "--schemes", "[[2,1],[3,3]]"])
+    assert code == 1 and not multiprocessing.active_children()
+    assert capsys.readouterr().err.startswith("error: A process in the process pool was "
+                                              "terminated abruptly")
 
 
 def test_pooled_verify_warns_once_per_shift_in_beta_order(tmp_path, monkeypatch):

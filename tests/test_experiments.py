@@ -123,6 +123,18 @@ def test_cahn_hilliard_reference_takes_no_admissibility_warning():
     assert report.reference_checksum is not None
 
 
+def test_cahn_hilliard_warns_once_per_call_site_under_the_default_filter():
+    # silencing the reference must leave the once-per-location registry alone
+    config = ExperimentConfig(name="cahn-hilliard", small=True, resolution=16, T=1e-4,
+                              schemes=((4, 1.0),))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            run_cahn_hilliard(config)
+    assert [str(w.message) for w in record] == \
+        ["k=4 with beta=1: multiplier certificate requires beta >= 2"]
+
+
 def test_cahn_hilliard_reference_reaches_t_and_leaves_the_schemes_alone():
     # 125 preset steps observed at stride 2: the level at T falls off the stride
     config = ExperimentConfig(name="cahn-hilliard", small=True, resolution=32, T=2.5e-4)
