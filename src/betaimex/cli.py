@@ -4,8 +4,8 @@ Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
 The three experiments share one path: `EXPERIMENTS` maps each subcommand to
 its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
-`verify`, `allen-cahn` and `converge` run their independent jobs (a share of
-the beta grid, a scheme, a shift) on forked workers, one per usable core, so
+`verify`, `allen-cahn` and `converge` run their independent jobs (a run of
+beta values, a scheme, a shift) on forked workers, one per usable core, so
 the CPU affinity (`taskset -c 0`) caps them; with one usable core or one job
 they run in this process.  Files, stdout, stderr and exit codes do not depend
 on the core count: results are written in job order as they arrive, and the
@@ -45,6 +45,9 @@ EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 # 100 times the longest sweep in use (1,001 shifts); every shift is built up front
 MAX_GRID_STEPS = 100_000
+# runs of jobs per pool worker: one contiguous share each would leave the
+# command waiting on whichever core other load slows most
+CHUNKS_PER_WORKER = 16
 
 
 def _usable_cores():
@@ -71,18 +74,20 @@ def _job(index):
 
 
 @contextlib.contextmanager
-def _ordered_map(fn, jobs, shares=False):
+def _ordered_map(fn, jobs):
     """An iterator over fn(job) for each job of the sequence `jobs`, in order.
 
     With two or more usable cores and jobs, and where the platform can fork,
     the jobs run on a pool of min(cores, len(jobs)) forked workers, which
-    end with the block.  A worker takes one job at a time, or with `shares`,
-    for many short jobs, one contiguous share of them per worker.  The
-    workers inherit `fn` and `jobs` through the fork, so neither is pickled;
-    only job indices and results cross the pipe.  A job's error is raised in
-    its place, after the results before it, as a serial run raises it, with
-    its message; a worker that dies raises `BrokenProcessPool`.  Otherwise
-    this is `map(fn, jobs)` in this process.
+    end with the block.  A worker takes the next free run of contiguous
+    jobs, CHUNKS_PER_WORKER runs per worker or single jobs when there are
+    few, so a worker on a core that other load slows takes fewer runs
+    instead of holding up the rest.  The workers inherit `fn` and `jobs`
+    through the fork, so neither is pickled; only job indices and results
+    cross the pipe.  A job's error is raised in its place, after the
+    results before it, as a serial run raises it, with its message; a
+    worker that dies raises `BrokenProcessPool`.  Otherwise this is
+    `map(fn, jobs)` in this process.
     """
     workers = min(_usable_cores(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
@@ -93,14 +98,14 @@ def _ordered_map(fn, jobs, shares=False):
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(fn, jobs))
-    share = -(-len(jobs) // workers) if shares else 1
+    chunk = max(1, len(jobs) // (CHUNKS_PER_WORKER * workers))
 
     def results():
         # the first submit forks, and a worker flushes its copy of the
         # standard streams when it exits
         sys.stdout.flush()
         sys.stderr.flush()
-        for ok, value in pool.map(_job, range(len(jobs)), chunksize=share):
+        for ok, value in pool.map(_job, range(len(jobs)), chunksize=chunk):
             if not ok:
                 raise RuntimeError(value)
             yield value
@@ -188,8 +193,7 @@ def cmd_verify(args):
         betas = [args.beta]
     for b in betas:  # here, so the warnings come once each and in beta order
         certificates._check_shift(args.k, b)
-    with _ordered_map(functools.partial(certificates._build_report, args.k), betas,
-                      shares=True) as done:
+    with _ordered_map(functools.partial(certificates._build_report, args.k), betas) as done:
         reports = list(done)
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)

@@ -383,10 +383,10 @@ def test_cahn_hilliard_warns_for_the_requested_schemes_only(tmp_path, capsys):
 
 
 def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
-    def run(cores, fn, jobs, shares=False):
+    def run(cores, fn, jobs):
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         try:
-            with cli._ordered_map(fn, jobs, shares) as results:
+            with cli._ordered_map(fn, jobs) as results:
                 return list(results)
         finally:
             assert not multiprocessing.active_children()
@@ -403,9 +403,11 @@ def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
             raise ValueError("job 2 failed")
         return j
 
-    # with shares, one contiguous share of the jobs per worker
-    pids = run(2, lambda job: os.getpid(), [None] * 7, shares=True)
-    assert len(set(pids[:4])) == len(set(pids[4:])) == 1 and os.getpid() not in pids
+    # many jobs go out in runs of contiguous jobs, CHUNKS_PER_WORKER per worker
+    runs = 2 * cli.CHUNKS_PER_WORKER
+    pids = run(2, lambda job: os.getpid(), [None] * (3 * runs + 2))
+    assert all(len(set(pids[i:i + 3])) == 1 for i in range(0, 3 * runs, 3))
+    assert os.getpid() not in pids
 
     # a worker that dies breaks the pool instead of hanging it
     with pytest.raises(BrokenProcessPool):
