@@ -67,12 +67,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("dt", "T", "resolution"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:  # false for a nan too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.dt_sweep is not None:
             sweep = tuple(float(d) for d in self.dt_sweep)
-            if any(d <= 0 for d in sweep):
-                raise ValueError("dt sweep entries must be positive")
+            if not all(0 < d < math.inf for d in sweep):
+                raise ValueError("dt sweep entries must be positive and finite")
             if any(a <= b for a, b in zip(sweep, sweep[1:])):
                 raise ValueError("dt sweep must be strictly decreasing")
             self.dt_sweep = sweep

@@ -10,7 +10,10 @@ One step solves
         - G(sum_{q<k-1+1} c[q] u^{n+1-k+q})
 
 which is a per-mode solve.  k = 1 (classical backward-Euler IMEX) is
-supported as the baseline scheme; orders 2..5 come from `coeffs`.
+supported as the baseline scheme; orders 2..5 come from `coeffs`.  The
+default start of a k-step run is that k = 1 scheme too: `initialize` builds
+levels 1..k-1 from u0 with `STARTER_SUBSTEPS` steps of it per dt, made by the
+same update as every later step.
 
 `initialize` returns an `IntegratorState` that owns its problem: the
 `ProblemSpec`, the a-, b- and c-weights as one (3, k) matrix per ring offset,
@@ -36,6 +39,8 @@ returns a `TrajectorySummary` either way, with a blow-up in `summary.blowup`.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -129,44 +134,42 @@ def _check_finite(u, step, t):
 
 
 def _imex1_history(spec, k, dt):
-    # backward-Euler IMEX substeps: implicit in L, explicit in G; the
-    # unconditional linear stability is what makes this usable on the stiff
-    # fourth-order (conserved-flow) symbol
-    levels = [np.array(spec.u0, copy=True)]
-    u = levels[0]
+    # the first-order scheme at dt / STARTER_SUBSTEPS: implicit in L,
+    # explicit in G; the unconditional linear stability is what makes this
+    # usable on the stiff fourth-order (conserved-flow) symbol
     h = dt / STARTER_SUBSTEPS
-    inverse = 1.0 / (1.0 / h + spec.linear_symbol)
-    for i in range(k - 1):
-        t = i * dt
-        for j in range(STARTER_SUBSTEPS):
-            rhs = u / h
-            if spec.nonlinear is not None:
-                g = spec.nonlinear(u)  # in place unless g promotes a real u0
-                rhs = np.subtract(rhs, g, out=rhs if np.result_type(rhs, g) == rhs.dtype else None)
-            if spec.source is not None:
-                rhs = rhs + spec.source(t + (j + 1) * h)
-            rhs *= inverse
-            u = rhs
-            _check_finite(u, i + 1, t + (j + 1) * h)  # level i + 1 is being built
-        levels.append(u)
+    u0 = spec.u0
+    if not np.iscomplexobj(u0) and any(
+            np.iscomplexobj(fn(x)) for fn, x in ((spec.nonlinear, u0), (spec.source, h))
+            if fn is not None):
+        u0 = u0.astype(complex)  # a complex G or f makes every later level complex
+    state = _state(spec, _FIRST_ORDER, h, [u0])
+    levels = [state.newest.copy()]
+    for i in range(1, k):
+        try:
+            while state.n < i * STARTER_SUBSTEPS:
+                _advance(state)
+        except BlowUpError as exc:
+            raise BlowUpError(i, exc.time, None) from None  # level i was being built
+        levels.append(state.newest.copy())
     return levels
 
 
 def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     """Fill the k-level history of `spec` and the weights and inverse that `step` uses.
 
-    starter: None for the default start, `STARTER_SUBSTEPS` backward-Euler
-    IMEX substeps per dt from `spec.u0` (implicit in L, so any nonnegative
-    symbol is accepted); or a callable t -> state for exact starts, called at
-    t = 0, dt, ..., (k-1)*dt.
+    starter: None for the default start, the stepper's own k = 1 scheme
+    (backward-Euler IMEX: implicit in L, so any nonnegative symbol is
+    accepted) at dt / `STARTER_SUBSTEPS` from `spec.u0`; or a callable
+    t -> state for exact starts, called at t = 0, dt, ..., (k-1)*dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # false for a nan too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rec = _resolve_coefficients(k, beta)
     if spec.u0 is None or not np.all(np.isfinite(spec.u0)):
         raise ValueError("initial state must be finite")
     if starter is None:
-        levels = _imex1_history(spec, k, dt)
+        levels = _imex1_history(spec, rec.k, dt)
     elif callable(starter):
         levels = [np.asarray(starter(i * dt)) for i in range(k)]
     else:
@@ -174,6 +177,11 @@ def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     for lv in levels:
         if not np.all(np.isfinite(lv)):
             raise ValueError("starter produced non-finite history")
+    return _state(spec, rec, dt, levels)
+
+
+def _state(spec, rec, dt, levels) -> IntegratorState:
+    """A state of `spec` holding `levels` as levels 0..k-1 of scheme `rec` at step dt."""
     a_lead = float(rec.a[-1])
     b_lead = float(rec.b[-1])
     denom_min = a_lead / dt + b_lead * float(np.min(spec.linear_symbol))
@@ -205,13 +213,8 @@ def _weighted_sums(state: IntegratorState) -> np.ndarray:
     return state.sums
 
 
-def step(state: IntegratorState) -> IntegratorState:
-    """Advance `state.spec` one level in place and return the same state.
-
-    The new level takes the oldest level's slot (see the ring contract).  On
-    a blow-up the state is left as it was, and the error carries a copy of the
-    newest level.
-    """
+def _advance(state: IntegratorState) -> IntegratorState:
+    # the update itself: `step` without the copy of the newest level on a blow-up
     spec, dt = state.spec, state.dt
     rhs, lin, mix = _weighted_sums(state)
     if len(state.ring) > 1:
@@ -222,15 +225,25 @@ def step(state: IntegratorState) -> IntegratorState:
     if spec.source is not None:
         rhs += spec.source((state.n + float(state.coefficients.beta)) * dt)
     rhs *= state.inverse
-    try:
-        _check_finite(rhs, state.n + 1, (state.n + 1) * dt)
-    except BlowUpError as exc:
-        exc.last_state = state.newest.copy()
-        raise
+    _check_finite(rhs, state.n + 1, (state.n + 1) * dt)
     state.ring[state.head] = rhs
     state.head = (state.head + 1) % len(state.ring)
     state.n += 1
     return state
+
+
+def step(state: IntegratorState) -> IntegratorState:
+    """Advance `state.spec` one level in place and return the same state.
+
+    The new level takes the oldest level's slot (see the ring contract).  On
+    a blow-up the state is left as it was, and the error carries a copy of the
+    newest level.
+    """
+    try:
+        return _advance(state)
+    except BlowUpError as exc:
+        exc.last_state = state.newest.copy()
+        raise
 
 
 @dataclass
@@ -260,8 +273,16 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
     `observe(u, t)` go to `values`, one per entry of `times`.  A blow-up ends
     the run: the returned summary holds the `BlowUpError` in `blowup`, the
     last finite level in `final_state` (None if the start blew up) and its
-    time, (step - 1) * dt, in `final_time`.
+    time, (step - 1) * dt, in `final_time`.  A non-finite `T`, a `dt` that is
+    not positive and finite, or a `stride` that is not an integer >= 1 raises
+    `ValueError` before the start.
     """
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
+    if not 0 < dt < math.inf:  # here too, since T / dt comes before `initialize`
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     nsteps = int(round(T / dt))
     if nsteps < k:
         raise ValueError("T must cover at least k steps")

@@ -20,7 +20,8 @@ polynomial's float coefficients and the stability scan by batched
 companion-matrix eigensolves with their own root tolerances, the boundary
 locus of the stability region, the history sums as a loop of scaled adds,
 the stepper's arithmetic rebuilt from the raw coefficients on every call,
-the interface radius by a row loop, the free energy from physical-space
+the default start as its own loop of backward-Euler substeps, the
+interface radius by a row loop, the free energy from physical-space
 derivatives and the manufactured source evaluated on the grid.  It also
 keeps the classical same-gamma condition, which only the tests use.
 """
@@ -35,7 +36,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from betaimex import coeffs
-from betaimex.integrate import BLOWUP_LIMIT, BlowUpError
+from betaimex.integrate import BLOWUP_LIMIT, STARTER_SUBSTEPS, BlowUpError, _check_finite
 from betaimex.spectral import MANUFACTURED_PARAMS
 from betaimex.certificates import CertificateReport, telescoping
 from betaimex.polynomials import (_exact_trim, horner, real_critical_points, roots,
@@ -713,6 +714,32 @@ def reference_step(state):
     if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
         raise BlowUpError(state.n + 1, (state.n + 1) * dt, hist[-1])
     return new
+
+
+def imex1_history(spec, k, dt):
+    """The k levels of `integrate.initialize`'s default start, by a loop of its own.
+
+    Backward-Euler IMEX substeps at h = dt / STARTER_SUBSTEPS from u0,
+    forming u / h and 1 / (1/h + L) itself, with the source at i*dt + (j+1)*h.
+    """
+    levels = [np.array(spec.u0, copy=True)]
+    u = levels[0]
+    h = dt / STARTER_SUBSTEPS
+    inverse = 1.0 / (1.0 / h + spec.linear_symbol)
+    for i in range(k - 1):
+        t = i * dt
+        for j in range(STARTER_SUBSTEPS):
+            rhs = u / h
+            if spec.nonlinear is not None:
+                g = spec.nonlinear(u)  # in place unless g promotes a real u0
+                rhs = np.subtract(rhs, g, out=rhs if np.result_type(rhs, g) == rhs.dtype else None)
+            if spec.source is not None:
+                rhs = rhs + spec.source(t + (j + 1) * h)
+            rhs *= inverse
+            u = rhs
+            _check_finite(u, i + 1, t + (j + 1) * h)  # level i + 1 is being built
+        levels.append(u)
+    return levels
 
 
 def radius_of_circle(grid, values):

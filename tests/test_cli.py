@@ -202,6 +202,20 @@ def test_non_positive_experiment_flags_are_refused(tmp_path, capsys, argv):
     assert code == 1 and "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["allen-cahn", "--small", "--T", "inf", "--schemes", "[[2,3]]"], "T"),
+    (["allen-cahn", "--small", "--dt", "inf", "--schemes", "[[2,3]]"], "dt"),
+    (["cahn-hilliard", "--small", "--T", "inf", "--no-reference"], "T"),
+    (["cahn-hilliard", "--small", "--dt", "inf", "--no-reference"], "dt"),
+    (["converge", "--k", "2", "--T", "inf"], "T"),
+])
+def test_infinite_experiment_flags_are_refused(tmp_path, capsys, argv, flag):
+    code = cli.main(["--out", str(tmp_path), *argv])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} must be positive and finite, got inf\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_converge_writes_reports(tmp_path, capsys):
     code, out = run_cli(["--out", str(tmp_path), "converge", "--k", "2", "--beta", "1",
                          "--dts", "0.05,0.025,0.0125,0.00625"], capsys)

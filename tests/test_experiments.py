@@ -16,8 +16,18 @@ def test_dt_sweep_must_decrease():
         ExperimentConfig(name="x", dt_sweep=(0.1, 0.2))
     with pytest.raises(ValueError):
         ExperimentConfig(name="x", dt_sweep=(0.1, -0.05))
+    for first in (math.inf, math.nan):  # a decreasing sweep, but not of finite steps
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExperimentConfig(name="x", dt_sweep=(first, 0.1, 0.05, 0.025))
     cfg = ExperimentConfig(name="x", dt_sweep=(0.1, 0.05, 0.025, 0.0125))
     assert cfg.dt_sweep == (0.1, 0.05, 0.025, 0.0125)
+
+
+@pytest.mark.parametrize("name", ["dt", "T", "resolution"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_needs_positive_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        ExperimentConfig(name="x", **{name: value})
 
 
 def test_convergence_needs_four_points():

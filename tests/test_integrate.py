@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from betaimex import experiments as ex
 from betaimex import integrate as itg
 from betaimex import spectral as sp
 from betaimex.coeffs import scheme_coefficients
-from oracles import combine, reference_step
+from oracles import combine, imex1_history, reference_step
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -167,6 +168,10 @@ def test_blowup_is_returned_with_the_step_that_step_raises():
     s = itg.run(spec, 2, 1.0, 0.5, 25.0)
     assert (s.blowup.step, s.blowup.time) == (err.value.step, err.value.time)
     assert s.blowup.step == 1 and 0.0 < s.blowup.time <= 0.5  # while building level 1
+    assert str(s.blowup) == f"solution blew up at step 1 (t = {s.blowup.time:g})"
+    with pytest.raises(itg.BlowUpError) as want:
+        imex1_history(spec, 2, 0.5)
+    assert str(s.blowup) == str(want.value)
     assert s.final_state is None and s.times == []
 
 
@@ -189,8 +194,9 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         itg.initialize(spec, 2, 1.0, 0.1)
     spec = itg.ProblemSpec(linear_symbol=np.ones(1), u0=np.array([1.0]))
-    with pytest.raises(ValueError):
-        itg.initialize(spec, 2, 1.0, -0.1)
+    for dt in (-0.1, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            itg.initialize(spec, 2, 1.0, dt)
     for name in ("nope", "rk4", "imex1"):  # only None or a callable starts a run
         with pytest.raises(ValueError):
             itg.initialize(spec, 2, 1.0, 0.1, starter=name)
@@ -198,6 +204,17 @@ def test_rejects_bad_inputs():
             itg.run(spec, 2, 1.0, 0.1, 1.0, starter=name)
     with pytest.raises(ValueError):
         itg.run(spec, 3, 2.0, 1.0, 2.0)  # fewer than k steps
+    # stride, T and dt are checked before the start: a non-finite u0 would say so
+    spec.u0 = np.array([np.nan])
+    for stride in (0, -1, 1.5, None):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            itg.run(spec, 2, 1.0, 0.1, 1.0, stride=stride)
+    for T in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be finite"):
+            itg.run(spec, 2, 1.0, 0.1, T)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            itg.run(spec, 2, 1.0, dt, 1.0)
 
 
 def test_first_order_baseline_is_backward_euler_imex():
@@ -300,6 +317,41 @@ def test_default_starter_promotes_a_real_start_to_complex():
     got, want = (itg.run(spec, 3, 2.0, dt, 0.1) for spec in (real, cplx))
     assert got.final_state.dtype == np.complex128
     assert np.array_equal(got.final_state, want.final_state)
+
+
+def _desk_start_problems():
+    # (problem, dt) on half-spectra: Cahn-Hilliard 32^2 as the desk preset
+    # has it, at the preset step and at the reference's dt / 30, and the
+    # Allen-Cahn circle at 64^2 and the desk step
+    ch_grid = sp.Grid2D(32, 32, 1.0, 1.0)
+    ch = sp.PhaseFieldParams(mobility=1.0, eps=ex.CH_DESK["eps"], alpha=1)
+    ch_spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(ch, ch_grid),
+                              nonlinear=sp.nonlinear_fourier(ch, ch_grid),
+                              u0=np.fft.rfft2(ex.ch_initial_state(32, ex.DEFAULT_SEED)))
+    ac_grid = sp.Grid2D(64, 64, 2.0, 2.0, x0=-1.0, y0=-1.0)
+    ac_spec = itg.ProblemSpec(linear_symbol=sp.linear_symbol(ex.AC_PARAMS, ac_grid),
+                              nonlinear=sp.nonlinear_fourier(ex.AC_PARAMS, ac_grid),
+                              u0=np.fft.rfft2(ex.ac_initial_profile(ac_grid)))
+    dt = ex.CH_DESK["dt"]
+    return [(ch_spec, dt), (ch_spec, dt / ex.CH_DESK["ref_dt_ratio"]), (ac_spec, 0.75)]
+
+
+@pytest.mark.parametrize("k,beta", _ORDERS[1:])
+def test_default_start_equals_the_substep_oracle(k, beta):
+    # the start is k = 1 steps of the stepper; the oracle is its own loop of
+    # backward-Euler substeps.  On the desks' half-spectra they agree bit for
+    # bit.  On a real vector problem the stepper forms u * (1/h) where the
+    # oracle forms u / h, and the levels agree to 4 ulp of their largest entry
+    for spec, dt in _desk_start_problems():
+        got = itg.initialize(spec, k, beta, dt).history
+        for lv, want in zip(got, imex1_history(spec, k, dt), strict=True):
+            assert lv.dtype == want.dtype == np.complex128
+            assert np.array_equal(lv, want)
+    spec, _, dt = _real_vector_problem()
+    got = itg.initialize(spec, k, beta, dt).history
+    for lv, want in zip(got, imex1_history(spec, k, dt), strict=True):
+        assert lv.dtype == want.dtype == np.float64
+        assert np.all(np.abs(lv - want) <= 4 * np.spacing(np.abs(want).max()))
 
 
 def test_states_of_two_problems_step_independently():
