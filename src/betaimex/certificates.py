@@ -27,6 +27,21 @@ cancellation once beta is large.  Every verdict is taken on these exact
 values; the report's float fields are correctly rounded from them and
 saturate to +-inf beyond the float range.
 
+A report does not rerun that route at each shift.  At beta = n/D every
+integer it reads is a homogeneous integer polynomial in (n, D): C~'s
+numerators and denominator and a's leading coefficient and denominator have
+degree k - 1, d's leading coefficient and denominator degree k, f_k's
+numerators and denominator 2k - 2, h_k's 2k - 1, and the numerators of the
+two resultants (k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates these
+forms exactly, once per order and process, from the per-shift route (record,
+pairings, subresultant PRS) at integer shifts, and checks every one against
+the route at two shifts with D > 1.  A report evaluates them by homogeneous
+Horner.  Where a leading coefficient of a, c or d vanishes the formal
+Sylvester determinant is not the resultant of the trimmed polynomials, so the
+report takes the per-shift route there; that happens only at negative shifts
+(C~'s at beta = -1, ..., 1 - k), which `verify` never takes.  Either way every
+integer equals the per-shift route's.
+
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
 touches, oldest first, and E1 x / E0 x its newest / oldest all but one,
@@ -39,6 +54,7 @@ circle and G follows from the shift recursion of G-stability theory
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,14 +217,92 @@ class CertificateReport:
         }
 
 
+def _route(k, a, c, d):
+    """c, f_k, h_k, Res(A, C) and Res(D, C) from the integer record at one shift.
+
+    This is the per-shift route; each item is (integer numerator(s), positive
+    denominator).
+    """
+    return (c, *_certificate_polynomials(k, a, c, d), _resultant(a, c), _resultant(d, c))
+
+
+def _groups(k, a, c, d):
+    """The integers the report forms interpolate, at one shift, in `_forms` order."""
+    _, (f, lf), (h, lh), (r_ac, _), (r_dc, _) = _route(k, a, c, d)
+    return [*c[0], c[1]], [a[0][-1], a[1]], [d[0][-1], d[1]], [*f, lf], [*h, lh], [r_ac, r_dc]
+
+
+def _interpolate(xs, ys):
+    """Ascending integer coefficients of the polynomial of degree < len(xs) through (xs, ys).
+
+    xs are distinct integers and ys the values of an integer polynomial, so
+    every divided difference is an integer and each division is exact
+    (Newton's form, expanded by Horner's rule).
+    """
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (xs[i] - xs[i - j])
+    poly = [c[-1]]
+    for x, cj in zip(xs[-2::-1], c[-2::-1]):  # poly * (t - x) + cj
+        poly = [cj - x * poly[0]] + [p - x * q for p, q in zip(poly, poly[1:])] + [poly[-1]]
+    return tuple(poly)
+
+
+def _evaluate(k, forms, beta):
+    """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator.
+
+    Where a leading coefficient of a, c or d vanishes, the resultant of the
+    trimmed polynomials is not the formal Sylvester determinant that the
+    forms give, so there it runs the per-shift route itself.
+    """
+    n, D = beta.numerator, beta.denominator
+    (*c, lc), (a_lead, la), (d_lead, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = (
+        [_homogeneous(F, n, D) for F in group] for group in forms)
+    if not (a_lead and c[-1] and d_lead):
+        a, _, c, d = coeffs._integer_record(k, beta)
+        return _route(k, a, c, d)
+    return (c, lc), (f, lf), (h, lh), (r_ac, la ** (k - 1) * lc ** k), (r_dc, (ld * lc) ** (k - 1))
+
+
+# the forms' check shifts with D > 1: 0.1 as a double (dyadic), and 7/3
+_CHECK_SHIFTS = (Fraction(3602879701896397, 1 << 55), Fraction(7, 3))
+
+
+@functools.cache
+def _forms(k):
+    """The integers a report of order k reads, as homogeneous integer forms in (n, D).
+
+    Six groups in `_groups` order, each a tuple of ascending coefficient tuples
+    of one degree (the module docstring lists them).  Interpolated from the
+    per-shift route at D = 1 and the integer shifts n = 1, 2, ... where no
+    leading coefficient of a, c or d vanishes, then checked against the route
+    at `_CHECK_SHIFTS`, where D > 1: ArithmeticError if any integer differs.
+    """
+    degrees = (k - 1, k - 1, k, 2 * k - 2, 2 * k - 1, (k - 1) * (2 * k - 1))
+    nodes, samples, n = [], [], 0
+    while len(nodes) <= degrees[-1]:
+        n += 1
+        a, _, c, d = coeffs._integer_record(k, Fraction(n))
+        if a[0][-1] and c[0][-1] and d[0][-1]:
+            nodes.append(n)
+            samples.append(_groups(k, a, c, d))
+    forms = tuple(tuple(_interpolate(nodes[:e + 1], [s[g][i] for s in samples[:e + 1]])
+                        for i in range(len(samples[0][g])))
+                  for g, e in enumerate(degrees))
+    for beta in _CHECK_SHIFTS:
+        a, _, c, d = coeffs._integer_record(k, beta)
+        if _evaluate(k, forms, beta) != _route(k, a, c, d):
+            raise ArithmeticError(f"the order-{k} report forms differ from the "
+                                  f"per-shift route at beta = {beta}")
+    return forms
+
+
 def _build_report(k, beta):
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    a, _, c, d = coeffs._integer_record(k, beta_exact)
-    # exact resultants: float arithmetic loses too many digits to the massive
-    # cancellation in them once beta is large
-    res_ac = _resultant(a, c)
-    res_dc = _resultant(d, c)
-    c_nums, c_den = c
+    # every integer the report reads, exactly: the resultants in floats would
+    # lose too many digits to the massive cancellation in them once beta is large
+    (c_nums, c_den), f, h, res_ac, res_dc = _evaluate(k, _forms(k), beta_exact)
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large, and where the
     # estimate contradicts it the printed modulus is a certified bound instead
@@ -216,7 +310,6 @@ def _build_report(k, beta):
     inside = _roots_inside_unit_disk(c_nums)
     if inside and rmax >= 1.0:
         rmax = _modulus_bound(c_nums)
-    f, h = _certificate_polynomials(k, a, c, d)
     xf, (sf, wf) = _certified_min(*f)
     xh, (sh, wh) = _certified_min(*h)
     # every verdict is taken on the exact values, so a float that overflows or

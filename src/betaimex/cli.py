@@ -193,6 +193,7 @@ def cmd_verify(args):
         betas = [args.beta]
     for b in betas:  # here, so the warnings come once each and in beta order
         certificates._check_shift(args.k, b)
+    certificates._forms(args.k)  # built once here, so the pool's workers inherit it
     with _ordered_map(functools.partial(certificates._build_report, args.k), betas) as done:
         reports = list(done)
     records = [r.as_dict() for r in reports]

@@ -134,6 +134,88 @@ def test_reports_equal_the_fraction_oracle(k):
     assert all(r.passed for r in reports[len(betas):])
 
 
+def _form_values(k, B):
+    return tuple([cert._homogeneous(F, B.numerator, B.denominator) for F in group]
+                 for group in cert._forms(k))
+
+
+def _record(k, B):
+    a, _, c, d = coeffs._integer_record(k, B)
+    return a, c, d
+
+
+def _non_dyadic_shifts(rng, count):
+    shifts = []
+    while len(shifts) < count:
+        B = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 25)), rng.randrange(3, 10 ** 6))
+        if B.denominator & (B.denominator - 1):
+            shifts.append(B)
+    return shifts
+
+
+# every shift of `verify --k 5 --grid 0:100:0.1`, every 10th of
+# `verify --k 2|3|4 --grid 1:100:0.1`, shifts n/D with D not a power of two,
+# the crowded shifts and 1e30
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_report_forms_equal_the_route_integer_for_integer(k):
+    grid = _beta_grid("0:100:0.1") if k == 5 else _beta_grid("1:100:0.1")[::10]
+    crowded = [b for shifts in CROWDED_SHIFTS.values() for b in shifts] + [1e30]
+    shifts = ([Fraction(b) for b in grid + crowded]
+              + _non_dyadic_shifts(random.Random(k), 25))
+    forms = cert._forms(k)
+    for B in shifts:
+        a, c, d = _record(k, B)
+        assert a[0][-1] and c[0][-1] and d[0][-1], (k, B)
+        values = _form_values(k, B)
+        assert all(type(x) is int for group in values for x in group)
+        assert values == cert._groups(k, a, c, d), (k, B)
+        assert cert._evaluate(k, forms, B) == cert._route(k, a, c, d), (k, B)
+
+
+def test_report_forms_have_the_stated_degrees():
+    for k in (2, 3, 4, 5):
+        degrees = [{len(F) - 1 for F in group} for group in cert._forms(k)]
+        assert degrees == [{k - 1}, {k - 1}, {k}, {2 * k - 2}, {2 * k - 1},
+                           {(k - 1) * (2 * k - 1)}]
+
+
+@pytest.mark.parametrize("k, beta", [(5, Fraction(-1)), (5, Fraction(-1, 3)),
+                                     (2, Fraction(-1, 2))])
+def test_a_vanishing_leading_coefficient_takes_the_prs_route(monkeypatch, k, beta):
+    # c's, d's and a's leading coefficient vanish here: the forms' formal
+    # Sylvester determinants differ from the trimmed resultants, so the
+    # report reruns the subresultant PRS, and only here
+    a, c, d = _record(k, beta)
+    assert not (a[0][-1] and c[0][-1] and d[0][-1])
+    assert _form_values(k, beta)[-1] != cert._groups(k, a, c, d)[-1]
+    assert cert._evaluate(k, cert._forms(k), beta) == cert._route(k, a, c, d)
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return sylvester_resultant(p, q)
+
+    monkeypatch.setattr(cert, "sylvester_resultant", counted)
+    cert._build_report(k, beta)
+    assert len(calls) == 2
+    calls.clear()
+    cert._build_report(k, 7.0)
+    assert calls == []
+
+
+def test_report_forms_raise_where_they_disagree_with_the_route(monkeypatch):
+    # a form taken one degree too high is D times the true one: it agrees at
+    # every node, where D = 1, and differs at the check shifts, where D > 1
+    real = cert._interpolate
+    monkeypatch.setattr(cert, "_interpolate", lambda xs, ys: (*real(xs, ys), 0))
+    cert._forms.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="order-5 report forms differ"):
+            cert._forms(5)
+    finally:
+        cert._forms.cache_clear()
+
+
 def test_report_verdict_survives_a_minimum_that_rounds_to_zero(monkeypatch):
     # an exactly negative minimum below the float range prints as -0.0, which
     # compares >= 0.0; the verdict must still come out negative

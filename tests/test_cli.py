@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betaimex import cli, coeffs
+from betaimex import certificates, cli, coeffs
 from betaimex.outputs import write_csv, write_json, write_pgm
 from betaimex.polynomials import _roots_inside_unit_disk
 
@@ -463,6 +463,31 @@ def test_program_output_does_not_depend_on_the_core_count(tmp_path, argv):
         runs.append((proc.returncode, proc.stdout, proc.stderr, _tree(cwd / "out")))
     assert runs[0] == runs[1]
     assert runs[0][0] == (0 if argv[0] == "converge" else 2)
+
+
+def test_verify_builds_the_report_forms_before_the_pool(tmp_path, capsys, monkeypatch):
+    # the forked workers inherit the forms instead of each building them
+    pooled = cli._ordered_map
+
+    def checked(fn, jobs):
+        assert certificates._forms.cache_info().currsize >= 1
+        return pooled(fn, jobs)
+
+    certificates._forms.cache_clear()
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "_ordered_map", checked)
+    code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--grid", "1:2:0.5"],
+                      capsys)
+    assert code == 0 and certificates._forms.cache_info().currsize == 1
+
+
+def test_importing_the_cli_builds_no_report_forms():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import betaimex.cli; from betaimex import certificates; "
+         "print(certificates._forms.cache_info().currsize)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_a_failing_middle_job_leaves_what_a_serial_run_leaves(tmp_path, capsys, monkeypatch):
