@@ -27,20 +27,21 @@ cancellation once beta is large.  Every verdict is taken on these exact
 values; the report's float fields are correctly rounded from them and
 saturate to +-inf beyond the float range.
 
-A report does not rerun that route at each shift.  At beta = n/D every
-integer it reads is a homogeneous integer polynomial in (n, D): C~'s
-numerators and denominator and a's leading coefficient and denominator have
-degree k - 1, d's leading coefficient and denominator degree k, f_k's
+A `verify --grid` does not rerun that route at each shift.  At beta = n/D
+every integer a report reads is a homogeneous integer polynomial in (n, D):
+C~'s numerators and denominator and a's leading coefficient and denominator
+have degree k - 1, d's leading coefficient and denominator degree k, f_k's
 numerators and denominator 2k - 2, h_k's 2k - 1, and the numerators of the
 two resultants (k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates these
 forms exactly, once per order and process, from the per-shift route (record,
-pairings, subresultant PRS) at integer shifts, and checks every one against
-the route at two shifts with D > 1.  A report evaluates them by homogeneous
-Horner.  Where a leading coefficient of a, c or d vanishes the formal
-Sylvester determinant is not the resultant of the trimmed polynomials, so the
-report takes the per-shift route there; that happens only at negative shifts
-(C~'s at beta = -1, ..., 1 - k), which `verify` never takes.  Either way every
-integer equals the per-shift route's.
+pairings, subresultant PRS) at the integer shifts 1, 2, ..., and checks every
+one against the route at two shifts with D > 1, so every integer equals the
+route's.  The grid's reports evaluate them by homogeneous Horner; one shift
+(`verify_certificate`, `verify --beta`) runs the route, which costs far less
+than the build.  Where a leading coefficient of a, c or d vanishes the
+formal Sylvester determinant is not the resultant of the trimmed polynomials,
+so the forms refuse the shift; that happens only at negative shifts (C~'s at
+beta = -1, ..., 1 - k), outside every order's domain.
 
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
@@ -217,6 +218,12 @@ class CertificateReport:
         }
 
 
+def _record(k, beta):
+    """a, c and d of the integer record at one exact shift."""
+    a, _, c, d = coeffs._integer_record(k, beta)
+    return a, c, d
+
+
 def _route(k, a, c, d):
     """c, f_k, h_k, Res(A, C) and Res(D, C) from the integer record at one shift.
 
@@ -250,18 +257,13 @@ def _interpolate(xs, ys):
 
 
 def _evaluate(k, forms, beta):
-    """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator.
-
-    Where a leading coefficient of a, c or d vanishes, the resultant of the
-    trimmed polynomials is not the formal Sylvester determinant that the
-    forms give, so there it runs the per-shift route itself.
-    """
+    """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator."""
     n, D = beta.numerator, beta.denominator
     (*c, lc), (a_lead, la), (d_lead, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = (
         [_homogeneous(F, n, D) for F in group] for group in forms)
     if not (a_lead and c[-1] and d_lead):
-        a, _, c, d = coeffs._integer_record(k, beta)
-        return _route(k, a, c, d)
+        raise ArithmeticError(f"a leading coefficient vanishes at beta = {beta}, "
+                              f"where the order-{k} report forms do not give the resultants")
     return (c, lc), (f, lf), (h, lh), (r_ac, la ** (k - 1) * lc ** k), (r_dc, (ld * lc) ** (k - 1))
 
 
@@ -275,34 +277,33 @@ def _forms(k):
 
     Six groups in `_groups` order, each a tuple of ascending coefficient tuples
     of one degree (the module docstring lists them).  Interpolated from the
-    per-shift route at D = 1 and the integer shifts n = 1, 2, ... where no
-    leading coefficient of a, c or d vanishes, then checked against the route
-    at `_CHECK_SHIFTS`, where D > 1: ArithmeticError if any integer differs.
+    per-shift route at D = 1 and the integer shifts n = 1, 2, ..., then
+    checked against the route at `_CHECK_SHIFTS`, where D > 1:
+    ArithmeticError if any integer differs.
     """
     degrees = (k - 1, k - 1, k, 2 * k - 2, 2 * k - 1, (k - 1) * (2 * k - 1))
-    nodes, samples, n = [], [], 0
-    while len(nodes) <= degrees[-1]:
-        n += 1
-        a, _, c, d = coeffs._integer_record(k, Fraction(n))
-        if a[0][-1] and c[0][-1] and d[0][-1]:
-            nodes.append(n)
-            samples.append(_groups(k, a, c, d))
+    nodes = range(1, degrees[-1] + 2)
+    samples = [_groups(k, *_record(k, Fraction(n))) for n in nodes]
     forms = tuple(tuple(_interpolate(nodes[:e + 1], [s[g][i] for s in samples[:e + 1]])
                         for i in range(len(samples[0][g])))
                   for g, e in enumerate(degrees))
     for beta in _CHECK_SHIFTS:
-        a, _, c, d = coeffs._integer_record(k, beta)
-        if _evaluate(k, forms, beta) != _route(k, a, c, d):
+        if _evaluate(k, forms, beta) != _route(k, *_record(k, beta)):
             raise ArithmeticError(f"the order-{k} report forms differ from the "
                                   f"per-shift route at beta = {beta}")
     return forms
 
 
-def _build_report(k, beta):
+def _build_report(k, beta, forms=None):
+    """The report at one shift, from `forms` (`_forms(k)`) or else by the per-shift route."""
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
     # every integer the report reads, exactly: the resultants in floats would
     # lose too many digits to the massive cancellation in them once beta is large
-    (c_nums, c_den), f, h, res_ac, res_dc = _evaluate(k, _forms(k), beta_exact)
+    if forms is None:
+        integers = _route(k, *_record(k, beta_exact))
+    else:
+        integers = _evaluate(k, forms, beta_exact)
+    (c_nums, c_den), f, h, res_ac, res_dc = integers
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large, and where the
     # estimate contradicts it the printed modulus is a certified bound instead

@@ -193,8 +193,11 @@ def cmd_verify(args):
         betas = [args.beta]
     for b in betas:  # here, so the warnings come once each and in beta order
         certificates._check_shift(args.k, b)
-    certificates._forms(args.k)  # built once here, so the pool's workers inherit it
-    with _ordered_map(functools.partial(certificates._build_report, args.k), betas) as done:
+    # a grid's reports read the order's forms, built here once so the pool's
+    # workers inherit them; one shift runs the per-shift route instead
+    forms = certificates._forms(args.k) if args.grid else None
+    report = functools.partial(certificates._build_report, args.k, forms=forms)
+    with _ordered_map(report, betas) as done:
         reports = list(done)
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)

@@ -139,11 +139,6 @@ def _form_values(k, B):
                  for group in cert._forms(k))
 
 
-def _record(k, B):
-    a, _, c, d = coeffs._integer_record(k, B)
-    return a, c, d
-
-
 def _non_dyadic_shifts(rng, count):
     shifts = []
     while len(shifts) < count:
@@ -164,7 +159,7 @@ def test_report_forms_equal_the_route_integer_for_integer(k):
               + _non_dyadic_shifts(random.Random(k), 25))
     forms = cert._forms(k)
     for B in shifts:
-        a, c, d = _record(k, B)
+        a, c, d = cert._record(k, B)
         assert a[0][-1] and c[0][-1] and d[0][-1], (k, B)
         values = _form_values(k, B)
         assert all(type(x) is int for group in values for x in group)
@@ -181,14 +176,21 @@ def test_report_forms_have_the_stated_degrees():
 
 @pytest.mark.parametrize("k, beta", [(5, Fraction(-1)), (5, Fraction(-1, 3)),
                                      (2, Fraction(-1, 2))])
-def test_a_vanishing_leading_coefficient_takes_the_prs_route(monkeypatch, k, beta):
-    # c's, d's and a's leading coefficient vanish here: the forms' formal
-    # Sylvester determinants differ from the trimmed resultants, so the
-    # report reruns the subresultant PRS, and only here
-    a, c, d = _record(k, beta)
+def test_report_forms_refuse_a_vanishing_leading_coefficient(k, beta):
+    # c's, d's and a's leading coefficient vanish here, outside every order's
+    # domain: the forms' formal Sylvester determinants differ from the trimmed
+    # resultants, so the forms refuse the shift, and the route still takes it
+    a, c, d = cert._record(k, beta)
     assert not (a[0][-1] and c[0][-1] and d[0][-1])
     assert _form_values(k, beta)[-1] != cert._groups(k, a, c, d)[-1]
-    assert cert._evaluate(k, cert._forms(k), beta) == cert._route(k, a, c, d)
+    with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
+        cert._evaluate(k, cert._forms(k), beta)
+    with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
+        cert._build_report(k, beta, cert._forms(k))
+    assert cert._build_report(k, beta).k == k
+
+
+def test_one_shift_runs_the_route_and_builds_no_forms(monkeypatch):
     calls = []
 
     def counted(p, q):
@@ -196,11 +198,14 @@ def test_a_vanishing_leading_coefficient_takes_the_prs_route(monkeypatch, k, bet
         return sylvester_resultant(p, q)
 
     monkeypatch.setattr(cert, "sylvester_resultant", counted)
-    cert._build_report(k, beta)
-    assert len(calls) == 2
+    cert._forms.cache_clear()
+    report = cert.verify_certificate(5, 7.0)
+    assert len(calls) == 2 and cert._forms.cache_info().currsize == 0
     calls.clear()
-    cert._build_report(k, 7.0)
-    assert calls == []
+    assert cert._build_report(5, 7.0, cert._forms(5)) == report
+    built = len(calls)
+    cert._build_report(5, 8.0, cert._forms(5))
+    assert built > 0 and len(calls) == built
 
 
 def test_report_forms_raise_where_they_disagree_with_the_route(monkeypatch):

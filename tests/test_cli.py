@@ -466,19 +466,23 @@ def test_program_output_does_not_depend_on_the_core_count(tmp_path, argv):
 
 
 def test_verify_builds_the_report_forms_before_the_pool(tmp_path, capsys, monkeypatch):
-    # the forked workers inherit the forms instead of each building them
+    # a grid's forked workers inherit the forms instead of each building them;
+    # one shift runs the per-shift route and builds none
     pooled = cli._ordered_map
+    warm = []
 
     def checked(fn, jobs):
-        assert certificates._forms.cache_info().currsize >= 1
+        warm.append(certificates._forms.cache_info().currsize)
         return pooled(fn, jobs)
 
     certificates._forms.cache_clear()
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     monkeypatch.setattr(cli, "_ordered_map", checked)
+    code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--beta", "2"], capsys)
+    assert code == 0 and warm == [0]
     code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--grid", "1:2:0.5"],
                       capsys)
-    assert code == 0 and certificates._forms.cache_info().currsize == 1
+    assert code == 0 and warm == [0, 1]
 
 
 def test_importing_the_cli_builds_no_report_forms():
