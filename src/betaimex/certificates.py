@@ -27,21 +27,20 @@ cancellation once beta is large.  Every verdict is taken on these exact
 values; the report's float fields are correctly rounded from them and
 saturate to +-inf beyond the float range.
 
-A `verify --grid` does not rerun that route at each shift.  At beta = n/D
-every integer a report reads is a homogeneous integer polynomial in (n, D):
-C~'s numerators and denominator and a's leading coefficient and denominator
-have degree k - 1, d's leading coefficient and denominator degree k, f_k's
-numerators and denominator 2k - 2, h_k's 2k - 1, and the numerators of the
-two resultants (k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates these
-forms exactly, once per order and process, from the per-shift route (record,
-pairings, subresultant PRS) at the integer shifts 1, 2, ..., and checks every
-one against the route at two shifts with D > 1, so every integer equals the
-route's.  The grid's reports evaluate them by homogeneous Horner; one shift
-(`verify_certificate`, `verify --beta`) runs the route, which costs far less
-than the build.  Where a leading coefficient of a, c or d vanishes the
-formal Sylvester determinant is not the resultant of the trimmed polynomials,
-so the forms refuse the shift; that happens only at negative shifts (C~'s at
-beta = -1, ..., 1 - k), outside every order's domain.
+The integers a report reads come in one layout, six groups: C~'s numerators
+and denominator, a's leading coefficient and denominator, d's, f_k's
+numerators and denominator, h_k's, and the numerators of Res(A, C) and
+Res(D, C).  At beta = n/D each is a homogeneous integer form in (n, D), of
+degree k - 1 in the first two groups, then k, 2k - 2, 2k - 1 and
+(k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates them exactly, once per
+order and process, from the per-shift route (`_route`: record, pairings,
+subresultant PRS) at the integer shifts 1, 2, ..., and checks them against the
+route at two shifts with D > 1.  `verify --grid` evaluates the forms by
+homogeneous Horner; one shift (`verify_certificate`, `verify --beta`) runs
+the route, which costs far less than the build.  `_build_report` forms the
+resultants' denominators from a's, c's and d's at full degree, so it refuses
+a shift where one of their leading coefficients vanishes; that happens only at
+negative shifts (C~'s at beta = -1, ..., 1 - k), outside every order's domain.
 
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
@@ -65,8 +64,8 @@ from typing import Optional
 import numpy as np
 
 from . import coeffs
-from .polynomials import (_exact_trim, _roots_inside_unit_disk, horner,
-                          real_critical_points, roots, sylvester_resultant)
+from .polynomials import (_roots_inside_unit_disk, horner, real_critical_points, roots,
+                          sylvester_resultant)
 
 # s_k: the (A, C) pairing is (1 - y) f_k(y) / s_k on the unit circle
 _F_SCALE = {2: 1, 3: 3, 4: 9, 5: 180}
@@ -175,15 +174,6 @@ def _modulus_bound(nums):
     return hi / (1 << 53)
 
 
-def _resultant(p, q):
-    # Res(P / L_P, Q / L_Q) as (numerator, positive denominator) from
-    # (numerators, denominator) pairs
-    (P, lp), (Q, lq) = p, q
-    res = sylvester_resultant(P, Q)
-    deg_p, deg_q = len(_exact_trim(P)) - 1, len(_exact_trim(Q)) - 1
-    return res.numerator, lp ** deg_q * lq ** deg_p
-
-
 def _float(num, den):
     """num / den (den > 0) correctly rounded, saturating to +-inf beyond the float range."""
     try:
@@ -218,25 +208,17 @@ class CertificateReport:
         }
 
 
-def _record(k, beta):
-    """a, c and d of the integer record at one exact shift."""
-    a, _, c, d = coeffs._integer_record(k, beta)
-    return a, c, d
+def _route(k, beta):
+    """The integers a report of order k reads at one exact shift, by the per-shift route.
 
-
-def _route(k, a, c, d):
-    """c, f_k, h_k, Res(A, C) and Res(D, C) from the integer record at one shift.
-
-    This is the per-shift route; each item is (integer numerator(s), positive
-    denominator).
+    The module docstring's six groups, from the integer record, the pairings
+    and the subresultant PRS.
     """
-    return (c, *_certificate_polynomials(k, a, c, d), _resultant(a, c), _resultant(d, c))
-
-
-def _groups(k, a, c, d):
-    """The integers the report forms interpolate, at one shift, in `_forms` order."""
-    _, (f, lf), (h, lh), (r_ac, _), (r_dc, _) = _route(k, a, c, d)
-    return [*c[0], c[1]], [a[0][-1], a[1]], [d[0][-1], d[1]], [*f, lf], [*h, lh], [r_ac, r_dc]
+    a, _, c, d = coeffs._integer_record(k, beta)
+    (f, lf), (h, lh) = _certificate_polynomials(k, a, c, d)
+    return ([*c[0], c[1]], [a[0][-1], a[1]], [d[0][-1], d[1]], [*f, lf], [*h, lh],
+            [sylvester_resultant(a[0], c[0]).numerator,
+             sylvester_resultant(d[0], c[0]).numerator])
 
 
 def _interpolate(xs, ys):
@@ -256,15 +238,10 @@ def _interpolate(xs, ys):
     return tuple(poly)
 
 
-def _evaluate(k, forms, beta):
+def _evaluate(forms, beta):
     """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator."""
     n, D = beta.numerator, beta.denominator
-    (*c, lc), (a_lead, la), (d_lead, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = (
-        [_homogeneous(F, n, D) for F in group] for group in forms)
-    if not (a_lead and c[-1] and d_lead):
-        raise ArithmeticError(f"a leading coefficient vanishes at beta = {beta}, "
-                              f"where the order-{k} report forms do not give the resultants")
-    return (c, lc), (f, lf), (h, lh), (r_ac, la ** (k - 1) * lc ** k), (r_dc, (ld * lc) ** (k - 1))
+    return tuple([_homogeneous(F, n, D) for F in group] for group in forms)
 
 
 # the forms' check shifts with D > 1: 0.1 as a double (dyadic), and 7/3
@@ -275,7 +252,7 @@ _CHECK_SHIFTS = (Fraction(3602879701896397, 1 << 55), Fraction(7, 3))
 def _forms(k):
     """The integers a report of order k reads, as homogeneous integer forms in (n, D).
 
-    Six groups in `_groups` order, each a tuple of ascending coefficient tuples
+    The six groups of `_route`, each a tuple of ascending coefficient tuples
     of one degree (the module docstring lists them).  Interpolated from the
     per-shift route at D = 1 and the integer shifts n = 1, 2, ..., then
     checked against the route at `_CHECK_SHIFTS`, where D > 1:
@@ -283,12 +260,12 @@ def _forms(k):
     """
     degrees = (k - 1, k - 1, k, 2 * k - 2, 2 * k - 1, (k - 1) * (2 * k - 1))
     nodes = range(1, degrees[-1] + 2)
-    samples = [_groups(k, *_record(k, Fraction(n))) for n in nodes]
+    samples = [_route(k, Fraction(n)) for n in nodes]
     forms = tuple(tuple(_interpolate(nodes[:e + 1], [s[g][i] for s in samples[:e + 1]])
                         for i in range(len(samples[0][g])))
                   for g, e in enumerate(degrees))
     for beta in _CHECK_SHIFTS:
-        if _evaluate(k, forms, beta) != _route(k, *_record(k, beta)):
+        if _evaluate(forms, beta) != _route(k, beta):
             raise ArithmeticError(f"the order-{k} report forms differ from the "
                                   f"per-shift route at beta = {beta}")
     return forms
@@ -299,28 +276,31 @@ def _build_report(k, beta, forms=None):
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
     # every integer the report reads, exactly: the resultants in floats would
     # lose too many digits to the massive cancellation in them once beta is large
-    if forms is None:
-        integers = _route(k, *_record(k, beta_exact))
-    else:
-        integers = _evaluate(k, forms, beta_exact)
-    (c_nums, c_den), f, h, res_ac, res_dc = integers
+    (*c_nums, lc), (a_lead, la), (d_lead, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = (
+        _route(k, beta_exact) if forms is None else _evaluate(forms, beta_exact))
+    # Res(P / L_P, Q / L_Q) = Res(P, Q) / (L_P^deg Q L_Q^deg P), with deg A = k
+    # and deg C = deg D = k - 1 unless a leading coefficient vanishes
+    if not (a_lead and c_nums[-1] and d_lead):
+        raise ArithmeticError(f"a leading coefficient vanishes at beta = {beta_exact}, where "
+                              f"the order-{k} report's resultant denominators do not hold")
+    den_ac, den_dc = la ** (k - 1) * lc ** k, (ld * lc) ** (k - 1)
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large, and where the
     # estimate contradicts it the printed modulus is a certified bound instead
-    rmax = float(np.abs(roots(_rounded(c_nums, c_den))).max())
+    rmax = float(np.abs(roots(_rounded(c_nums, lc))).max())
     inside = _roots_inside_unit_disk(c_nums)
     if inside and rmax >= 1.0:
         rmax = _modulus_bound(c_nums)
-    xf, (sf, wf) = _certified_min(*f)
-    xh, (sh, wh) = _certified_min(*h)
+    xf, (sf, wf) = _certified_min(f, lf)
+    xh, (sh, wh) = _certified_min(h, lh)
     # every verdict is taken on the exact values, so a float that overflows or
     # underflows cannot flip it; only the printed fields saturate
-    passed = res_ac[0] != 0 and res_dc[0] != 0 and inside and sf >= 0 and sh >= 0
+    passed = r_ac != 0 and r_dc != 0 and inside and sf >= 0 and sh >= 0
     witness = None
     if sf < 0 or sh < 0:
         witness = (xf, _float(sf, wf)) if sf * wh <= sh * wf else (xh, _float(sh, wh))
-    return CertificateReport(k=k, beta=float(beta), resultant_AC=_float(*res_ac),
-                             resultant_DC=_float(*res_dc), max_root_modulus_C=rmax,
+    return CertificateReport(k=k, beta=float(beta), resultant_AC=_float(r_ac, den_ac),
+                             resultant_DC=_float(r_dc, den_dc), max_root_modulus_C=rmax,
                              min_f=_float(sf, wf), min_h=_float(sh, wh), passed=passed,
                              failure_witness=witness)
 

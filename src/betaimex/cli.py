@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -61,8 +62,19 @@ _inherited = None  # (fn, jobs) of the pool a forked worker belongs to
 
 
 def _adopt(fn, jobs):
+    import multiprocessing
     global _inherited
     _inherited = fn, jobs
+    # a parent killed by a signal shuts no pool down; the worker ends once its
+    # parent sentinel reads EOF, when the parent and every worker forked after
+    # this one (each holds the parent's end of this pipe) have exited
+    threading.Thread(target=_exit_at_eof, args=(multiprocessing.parent_process().sentinel,),
+                     daemon=True).start()
+
+
+def _exit_at_eof(fd):
+    os.read(fd, 1)
+    os._exit(1)
 
 
 def _job(index):
@@ -79,15 +91,15 @@ def _ordered_map(fn, jobs):
 
     With two or more usable cores and jobs, and where the platform can fork,
     the jobs run on a pool of min(cores, len(jobs)) forked workers, which
-    end with the block.  A worker takes the next free run of contiguous
-    jobs, CHUNKS_PER_WORKER runs per worker or single jobs when there are
-    few, so a worker on a core that other load slows takes fewer runs
-    instead of holding up the rest.  The workers inherit `fn` and `jobs`
-    through the fork, so neither is pickled; only job indices and results
-    cross the pipe.  A job's error is raised in its place, after the
-    results before it, as a serial run raises it, with its message; a
-    worker that dies raises `BrokenProcessPool`.  Otherwise this is
-    `map(fn, jobs)` in this process.
+    end with the block, or with this process if a signal ends it first.  A
+    worker takes the next free run of contiguous jobs, CHUNKS_PER_WORKER runs
+    per worker or single jobs when there are few, so a worker on a core that
+    other load slows takes fewer runs instead of holding up the rest.  The
+    workers inherit `fn` and `jobs` through the fork, so neither is pickled;
+    only job indices and results cross the pipe.  A job's error is raised in
+    its place, after the results before it, as a serial run raises it, with
+    its message; a worker that dies raises `BrokenProcessPool`.  Otherwise
+    this is `map(fn, jobs)` in this process.
     """
     workers = min(_usable_cores(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):

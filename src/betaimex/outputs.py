@@ -39,8 +39,8 @@ def write_csv(path, header, rows):
 
 def write_json(path, payload):
     with _writing(path, "JSON") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one write: json.dump makes one per encoder chunk
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_pgm(path, mask):

@@ -134,11 +134,6 @@ def test_reports_equal_the_fraction_oracle(k):
     assert all(r.passed for r in reports[len(betas):])
 
 
-def _form_values(k, B):
-    return tuple([cert._homogeneous(F, B.numerator, B.denominator) for F in group]
-                 for group in cert._forms(k))
-
-
 def _non_dyadic_shifts(rng, count):
     shifts = []
     while len(shifts) < count:
@@ -159,12 +154,9 @@ def test_report_forms_equal_the_route_integer_for_integer(k):
               + _non_dyadic_shifts(random.Random(k), 25))
     forms = cert._forms(k)
     for B in shifts:
-        a, c, d = cert._record(k, B)
-        assert a[0][-1] and c[0][-1] and d[0][-1], (k, B)
-        values = _form_values(k, B)
+        values = cert._evaluate(forms, B)
         assert all(type(x) is int for group in values for x in group)
-        assert values == cert._groups(k, a, c, d), (k, B)
-        assert cert._evaluate(k, forms, B) == cert._route(k, a, c, d), (k, B)
+        assert values == cert._route(k, B), (k, B)
 
 
 def test_report_forms_have_the_stated_degrees():
@@ -174,20 +166,36 @@ def test_report_forms_have_the_stated_degrees():
                            {(k - 1) * (2 * k - 1)}]
 
 
+def test_leading_coefficient_forms_are_positive_at_every_nonnegative_shift():
+    # nonnegative coefficients and a positive D^e term: each of a's, C~'s and
+    # d's leading coefficients is positive at every beta = n/D >= 0, so the
+    # report's guard cannot fire on any order's domain
+    for k in (2, 3, 4, 5):
+        c, a, d = (group[i] for group, i in zip(cert._forms(k), (-2, 0, 0)))
+        assert all(min(F) >= 0 and F[0] > 0 for F in (a, c, d)), k
+
+
 @pytest.mark.parametrize("k, beta", [(5, Fraction(-1)), (5, Fraction(-1, 3)),
                                      (2, Fraction(-1, 2))])
 def test_report_forms_refuse_a_vanishing_leading_coefficient(k, beta):
     # c's, d's and a's leading coefficient vanish here, outside every order's
-    # domain: the forms' formal Sylvester determinants differ from the trimmed
-    # resultants, so the forms refuse the shift, and the route still takes it
-    a, c, d = cert._record(k, beta)
-    assert not (a[0][-1] and c[0][-1] and d[0][-1])
-    assert _form_values(k, beta)[-1] != cert._groups(k, a, c, d)[-1]
-    with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
-        cert._evaluate(k, cert._forms(k), beta)
-    with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
-        cert._build_report(k, beta, cert._forms(k))
-    assert cert._build_report(k, beta).k == k
+    # domain: the resultants' denominators assume the full degrees, and the
+    # forms' formal Sylvester determinants differ from the route's trimmed
+    # resultants, so a report from either source refuses the shift
+    route, values = cert._route(k, beta), cert._evaluate(cert._forms(k), beta)
+    assert not (route[0][-2] and route[1][0] and route[2][0])
+    assert values[:5] == route[:5] and values[5] != route[5]
+    for forms in (None, cert._forms(k)):
+        with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
+            cert._build_report(k, beta, forms)
+
+
+# beta = 0 has Res(D, C) = 0; 1e30 is far past every grid
+@pytest.mark.parametrize("k, beta", [(5, 0.0), (5, 6.38), (5, 100.0), (4, 1e30)])
+def test_route_and_forms_give_one_report(k, beta):
+    report = cert._build_report(k, beta)
+    assert report == cert._build_report(k, beta, cert._forms(k))
+    assert (report.resultant_DC == 0.0) == (beta == 0.0)
 
 
 def test_one_shift_runs_the_route_and_builds_no_forms(monkeypatch):

@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
@@ -16,6 +18,12 @@ from betaimex.outputs import write_csv, write_json, write_pgm
 from betaimex.polynomials import _roots_inside_unit_disk
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    yield
+    assert not multiprocessing.active_children()
 
 
 def run_cli(args, capsys):
@@ -525,6 +533,53 @@ def test_a_dying_worker_ends_the_command_with_exit_1(tmp_path, capsys, monkeypat
     assert code == 1 and not multiprocessing.active_children()
     assert capsys.readouterr().err.startswith("error: A process in the process pool was "
                                               "terminated abruptly")
+
+
+# a pool whose two workers each report their pid and then sleep in a job
+SLOW_POOL = """
+import os, time
+from betaimex import cli
+cli._usable_cores = lambda: 2
+
+def slow(job):
+    os.write(1, b"%d\\n" % os.getpid())  # one write: print may split the line
+    time.sleep(60)
+
+with cli._ordered_map(slow, range(2)) as results:
+    list(results)
+"""
+
+
+def _running(pid):
+    # a zombie has ended and only waits for its new parent to reap it
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_pool_workers_end_when_their_command_is_killed():
+    # SIGTERM ends the command without shutting its pool down
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_POOL], stdout=subprocess.PIPE,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_pooled_verify_warns_once_per_shift_in_beta_order(tmp_path, monkeypatch):
