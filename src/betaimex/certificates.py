@@ -35,9 +35,10 @@ degree k - 1 in the first two groups, then k, 2k - 2, 2k - 1 and
 (k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates them exactly, once per
 order and process, from the per-shift route (`_route`: record, pairings,
 subresultant PRS) at the integer shifts 1, 2, ..., and checks them against the
-route at two shifts with D > 1.  `verify --grid` evaluates the forms by
-homogeneous Horner; one shift (`verify_certificate`, `verify --beta`) runs
-the route, which costs far less than the build.  `_build_report` forms the
+route at two shifts with D > 1.  `verify --grid` evaluates the forms at
+(n, D) with `polynomials.horner`, the one Horner scheme, which takes D as its
+homogenising argument; one shift (`verify_certificate`, `verify --beta`)
+runs the route, which costs far less than the build.  `_build_report` forms the
 resultants' denominators from a's, c's and d's at full degree, so it refuses
 a shift where one of their leading coefficients vanishes; that happens only at
 negative shifts (C~'s at beta = -1, ..., 1 - k), outside every order's domain.
@@ -111,15 +112,6 @@ def _certificate_polynomials(k, a, c, d):
     return (f, 2 * la * lc), (_on_circle(_pairing_symbol(d_nums, c_nums)), 2 * ld * lc)
 
 
-def _homogeneous(poly, p, q):
-    # sum_i poly[i] * p^i * q^(e - i) with e = len(poly) - 1 (Horner)
-    acc, q_pow = poly[-1], 1
-    for c in reversed(poly[:-1]):
-        q_pow *= q
-        acc = acc * p + c * q_pow
-    return acc
-
-
 def _rounded(nums, den):
     """The coefficients nums / den correctly rounded, scaled into the float range.
 
@@ -138,8 +130,8 @@ def _certified_min(nums, den):
 
     The critical points come from the correctly rounded coefficients x / den.
     With d = len(nums) - 1 a candidate y = p/q has the value S(p, q) / (q^d den),
-    S the homogeneous integer form, so the candidates compare by
-    cross-multiplication.  Returns the minimiser's candidate and the exact
+    S the homogeneous integer form (`horner` at (p, q)), so the candidates
+    compare by cross-multiplication.  Returns the minimiser's candidate and the exact
     minimum as (integer numerator, positive integer denominator).
     """
     critical = real_critical_points(_rounded(nums, den))
@@ -148,7 +140,7 @@ def _certified_min(nums, den):
     best_x, best_s, best_w = None, None, None
     for x in sorted(candidates):
         p, q = x.as_integer_ratio()
-        s, w = _homogeneous(nums, p, q), q ** d
+        s, w = horner(nums, p, q), q ** d
         if best_x is None or s * best_w < best_s * w:
             best_x, best_s, best_w = x, s, w
     return best_x, (best_s, best_w * den)
@@ -241,7 +233,7 @@ def _interpolate(xs, ys):
 def _evaluate(forms, beta):
     """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator."""
     n, D = beta.numerator, beta.denominator
-    return tuple([_homogeneous(F, n, D) for F in group] for group in forms)
+    return tuple([horner(F, n, D) for F in group] for group in forms)
 
 
 # the forms' check shifts with D > 1: 0.1 as a double (dyadic), and 7/3

@@ -15,7 +15,9 @@ every record is read off it.  beta = 1 recovers the classical schemes.
 The implicit combination splits as b = eta * c + d with the scalar eta(k, beta)
 hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
 (beta-1)/(beta+15) for k = 2..5; this splitting is what the energy estimates
-and identities in `certificates` are built on.
+and identities in `certificates` are built on.  Offset 0 for k = 1 serves the
+solver's backward-Euler baseline `_build(1, 1.0)`, read off the integer record
+like every other; eta vanishes there, at beta = 1.
 
 `scheme_coefficients(k, beta)` is the one entry point: it returns the whole
 record (a, b, c, d, eta).  beta may be a float (each entry the correctly
@@ -41,7 +43,7 @@ ORDERS = (2, 3, 4, 5)
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 # eta_k(beta) = (beta - 1) / (beta + offset)
-ETA_DENOMINATOR_OFFSET = {2: 0, 3: 1, 4: 3, 5: 15}
+ETA_DENOMINATOR_OFFSET = {1: 0, 2: 0, 3: 1, 4: 3, 5: 15}
 
 
 class OrderError(ValueError):

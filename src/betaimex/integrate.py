@@ -10,10 +10,12 @@ One step solves
         - G(sum_{q<k-1+1} c[q] u^{n+1-k+q})
 
 which is a per-mode solve.  k = 1 (classical backward-Euler IMEX) is
-supported as the baseline scheme; orders 2..5 come from `coeffs`.  The
-default start of a k-step run is that k = 1 scheme too: `initialize` builds
-levels 1..k-1 from u0 with `STARTER_SUBSTEPS` steps of it per dt, made by the
-same update as every later step.
+supported as the baseline scheme, read off the integer record of `coeffs`
+like orders 2..5.  The default start of a k-step run is that k = 1 scheme
+too: `initialize` builds levels 1..k-1 from u0 with `STARTER_SUBSTEPS` steps
+of it per dt, made by the same update as every later step.  `initialize`
+decides once per run, for either start, whether the ring is complex: it is if
+a starting level is, or G of the first level or f at the first step is.
 
 `initialize` returns an `IntegratorState` that owns its problem: the
 `ProblemSpec`, the a-, b- and c-weights as one (3, k) matrix per ring offset,
@@ -46,14 +48,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import SchemeCoefficients, scheme_coefficients
+from .coeffs import SchemeCoefficients, _build, scheme_coefficients
 
 BLOWUP_LIMIT = 1e10
 STARTER_SUBSTEPS = 20
 
 # classical backward-Euler IMEX baseline (implicit L, explicit G)
-_FIRST_ORDER = SchemeCoefficients(k=1, beta=1.0, a=(-1.0, 1.0), b=(1.0,),
-                                  c=(1.0,), d=(1.0,), eta=0.0)
+_FIRST_ORDER = _build(1, 1.0)
 
 
 class BlowUpError(RuntimeError):
@@ -133,17 +134,13 @@ def _check_finite(u, step, t):
         raise BlowUpError(step, t, None)
 
 
-def _imex1_history(spec, k, dt):
-    # the first-order scheme at dt / STARTER_SUBSTEPS: implicit in L,
-    # explicit in G; the unconditional linear stability is what makes this
-    # usable on the stiff fourth-order (conserved-flow) symbol
-    h = dt / STARTER_SUBSTEPS
-    u0 = spec.u0
-    if not np.iscomplexobj(u0) and any(
-            np.iscomplexobj(fn(x)) for fn, x in ((spec.nonlinear, u0), (spec.source, h))
-            if fn is not None):
-        u0 = u0.astype(complex)  # a complex G or f makes every later level complex
-    state = _state(spec, _FIRST_ORDER, h, [u0])
+def _imex1_history(spec, k, dt, dtype):
+    """Levels 0..k-1, in the dtype `initialize` decided, by `coeffs`' k = 1 record.
+
+    At dt / STARTER_SUBSTEPS, implicit in L, explicit in G: the unconditional
+    linear stability makes it usable on the stiff conserved-flow symbol.
+    """
+    state = _state(spec, _FIRST_ORDER, dt / STARTER_SUBSTEPS, [spec.u0], dtype)
     levels = [state.newest.copy()]
     for i in range(1, k):
         try:
@@ -169,19 +166,26 @@ def initialize(spec: ProblemSpec, k, beta, dt, starter=None) -> IntegratorState:
     if spec.u0 is None or not np.all(np.isfinite(spec.u0)):
         raise ValueError("initial state must be finite")
     if starter is None:
-        levels = _imex1_history(spec, rec.k, dt)
+        levels = [spec.u0]
     elif callable(starter):
         levels = [np.asarray(starter(i * dt)) for i in range(k)]
+        if not all(np.all(np.isfinite(lv)) for lv in levels):
+            raise ValueError("starter produced non-finite history")
     else:
         raise ValueError(f"starter must be None or a callable, not {starter!r}")
-    for lv in levels:
-        if not np.all(np.isfinite(lv)):
-            raise ValueError("starter produced non-finite history")
-    return _state(spec, rec, dt, levels)
+    # a complex G or f makes every later level complex
+    complex_ring = any(np.iscomplexobj(lv) for lv in levels) or any(
+        np.iscomplexobj(fn(x)) for fn, x in ((spec.nonlinear, levels[0]),
+                                             (spec.source, (rec.k - 1 + float(rec.beta)) * dt))
+        if fn is not None)
+    dtype = np.complex128 if complex_ring else np.float64
+    if starter is None:
+        levels = _imex1_history(spec, rec.k, dt, dtype)
+    return _state(spec, rec, dt, levels, dtype)
 
 
-def _state(spec, rec, dt, levels) -> IntegratorState:
-    """A state of `spec` holding `levels` as levels 0..k-1 of scheme `rec` at step dt."""
+def _state(spec, rec, dt, levels, dtype) -> IntegratorState:
+    """A state of `spec` holding `levels`, in `dtype`, as levels 0..k-1 of `rec` at step dt."""
     a_lead = float(rec.a[-1])
     b_lead = float(rec.b[-1])
     denom_min = a_lead / dt + b_lead * float(np.min(spec.linear_symbol))
@@ -193,7 +197,6 @@ def _state(spec, rec, dt, levels) -> IntegratorState:
     w[0] = [-float(v) / dt for v in rec.a[:k]]
     w[1, 1:] = [-float(v) for v in rec.b[:k - 1]]
     w[2] = [float(v) for v in rec.c[:k]]
-    dtype = np.complex128 if any(np.iscomplexobj(lv) for lv in levels) else np.float64
     ring = np.array(levels, dtype=dtype)
     return IntegratorState(spec=spec, ring=ring, head=0, n=k - 1, dt=dt, coefficients=rec,
                            weights=np.stack([np.roll(w, h, axis=1) for h in range(k)]),

@@ -29,11 +29,13 @@ def _trim(coeffs):
     return c[:n]
 
 
-def horner(coeffs, x):
-    """sum(coeffs[i] * x**i), in the arithmetic of the coefficients and of x."""
-    acc = coeffs[-1]
+def horner(coeffs, x, q=1):
+    """sum(coeffs[i] * x**i * q**(e - i)), e = len(coeffs) - 1, in the inputs' arithmetic:
+    the value at x for q = 1, the homogeneous form at (x, q) for an integer q."""
+    acc, q_pow = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        q_pow *= q
+        acc = acc * x + c * q_pow
     return acc
 
 

@@ -159,6 +159,19 @@ def test_report_forms_equal_the_route_integer_for_integer(k):
         assert values == cert._route(k, B), (k, B)
 
 
+def test_horner_at_an_integer_q_is_the_homogeneous_form():
+    # the report forms are evaluated by `horner(F, n, D)`, which must equal
+    # D^deg F times the value at n / D
+    for B in (Fraction(3602879701896397, 1 << 55), Fraction(7, 3), Fraction(638, 100),
+              Fraction(10 ** 30)):
+        n, D = B.numerator, B.denominator
+        for group in cert._forms(5):
+            for F in group:
+                got = horner(F, n, D)
+                assert type(got) is int
+                assert got == horner(F, Fraction(n, D)) * D ** (len(F) - 1)
+
+
 def test_report_forms_have_the_stated_degrees():
     for k in (2, 3, 4, 5):
         degrees = [{len(F) - 1 for F in group} for group in cert._forms(k)]

@@ -391,6 +391,21 @@ def test_converge_rejects_bad_shifts_before_the_first_run(tmp_path, capsys, beta
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["converge", "--k", "4", "--beta", "1,0.5"], "--beta entry k=4"),
+    (["allen-cahn", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4"),
+    (["cahn-hilliard", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4")])
+def test_a_refused_experiment_leaves_its_new_out_directory_empty(tmp_path, capsys, argv, flag):
+    # the output directory is made before the shifts are checked, so a
+    # refused command leaves it behind, empty
+    out = tmp_path / "new"
+    code = cli.main(["--out", str(out)] + argv)
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {flag}, beta=0.5: "
+                                       "shift beta=0.5 must be >= 1\n")
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_cahn_hilliard_warns_for_the_requested_schemes_only(tmp_path, capsys):
     # the fine-step reference is the classical k = 4 at beta = 1 by design
     for schemes, count in (("[[2,1]]", 0), ("[[4,1]]", 1)):

@@ -149,6 +149,19 @@ def test_rejects_bad_orders_and_shifts():
         closed_form(5, 7.0)
 
 
+def test_first_order_integer_record_is_backward_euler():
+    # the solver's k = 1 baseline is read off the same integer record; the
+    # public entry points still refuse k = 1
+    assert coeffs._integer_record(1, Fraction(1)) == (([-1, 1], 1), ([1], 1), ([1], 1), ([1], 1))
+    rec = coeffs._build(1, 1.0)
+    assert (rec.a, rec.b, rec.c, rec.d) == ((-1.0, 1.0), (1.0,), (1.0,), (1.0,))
+    assert type(rec.eta) is float and rec.eta == 0.0
+    assert 1 not in coeffs.ORDERS
+    for call in (coeffs.scheme_coefficients, coeffs.eta):
+        with pytest.raises(coeffs.OrderError):
+            call(1, 1.0)
+
+
 def test_admissibility_warning_is_emitted_not_enforced():
     with pytest.warns(UserWarning, match="beta >= 2"):
         rec = coeffs.scheme_coefficients(4, 1.5)

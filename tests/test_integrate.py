@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from betaimex import coeffs
 from betaimex import experiments as ex
 from betaimex import integrate as itg
 from betaimex import spectral as sp
@@ -227,6 +228,11 @@ def test_first_order_baseline_is_backward_euler_imex():
         itg.initialize(spec, 1, 2.0, 0.1)
 
 
+def test_first_order_baseline_is_the_integer_record_at_beta_one():
+    assert itg._resolve_coefficients(1, 1.0) == coeffs._build(1, 1.0)
+    assert itg._resolve_coefficients(1, 1) == coeffs._build(1, 1.0)
+
+
 _ORDERS = [(1, 1.0), (2, 3.0), (3, 2.0), (4, 2.5), (5, 7.0)]
 
 
@@ -317,6 +323,52 @@ def test_default_starter_promotes_a_real_start_to_complex():
     got, want = (itg.run(spec, 3, 2.0, dt, 0.1) for spec in (real, cplx))
     assert got.final_state.dtype == np.complex128
     assert np.array_equal(got.final_state, want.final_state)
+
+
+@pytest.mark.parametrize("complex_term", ["nonlinear", "source"])
+@pytest.mark.parametrize("k,beta", [(1, 1.0), (2, 3.0), (4, 2.5)])
+def test_callable_start_is_promoted_by_a_complex_g_or_f(complex_term, k, beta):
+    # a real callable start takes the dtype the default start would: a
+    # complex G or f makes the ring complex, and the run equals the same
+    # start cast to complex bit for bit
+    terms = {"nonlinear": lambda u: (0.3 + 0.2j) * u ** 3 - u,
+             "source": lambda t: np.array([1.0j, -2.0, 0.5 + 1.0j]) * math.cos(t)}
+    spec = itg.ProblemSpec(linear_symbol=np.array([0.0, 3.0, 40.0]), u0=np.ones(3),
+                           **{complex_term: terms[complex_term]})
+    phase = np.array([0.1, 1.3, 2.9])
+    real = lambda t: np.cos(t + phase)
+    got, want = (itg.run(spec, k, beta, 0.05, 0.5, observe=lambda u, t: u.copy(), starter=s)
+                 for s in (real, lambda t: real(t).astype(complex)))
+    assert not got.diverged and got.final_state.dtype == np.complex128
+    for a, b in zip(got.values + [got.final_state], want.values + [want.final_state],
+                    strict=True):
+        assert a.dtype == b.dtype == np.complex128 and np.array_equal(a, b)
+
+
+def _counting(fn, counter, key):
+    def wrapped(x):
+        counter[key] += 1
+        return fn(x)
+    return wrapped
+
+
+@pytest.mark.parametrize("k,beta", [(1, 1.0), (3, 2.0)])
+def test_the_dtype_decision_evaluates_g_and_f_at_most_once_per_run(k, beta):
+    # one evaluation of G and one of f per step; the dtype decision adds one
+    # each for a real start, none for a complex one, and none per substep
+    nsteps = 10
+    for start in ("complex", "real", "default"):
+        counts = {"G": 0, "f": 0}
+        spec, exact, dt = _real_vector_problem()
+        spec.nonlinear = _counting(spec.nonlinear, counts, "G")
+        spec.source = _counting(spec.source, counts, "f")
+        starter = {"complex": lambda t: exact(t).astype(complex), "real": exact,
+                   "default": None}[start]
+        s = itg.run(spec, k, beta, dt, nsteps * dt, starter=starter)
+        assert not s.diverged
+        steps = nsteps - (k - 1) + (0 if starter else (k - 1) * itg.STARTER_SUBSTEPS)
+        probe = 0 if start == "complex" else 1
+        assert counts == {"G": steps + probe, "f": steps + probe}, start
 
 
 def _desk_start_problems():
