@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import numbers
 import operator
 import os
 import sys
@@ -50,8 +51,13 @@ class OrderError(ValueError):
     pass
 
 
+def _is_integer(k):
+    """Whether k is an int or a numpy integer; a bool is not an order."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+
 def _check_order(k):
-    if k not in ORDERS:
+    if not _is_integer(k) or k not in ORDERS:
         raise OrderError(
             f"order k={k} is not supported; valid orders are {ORDERS} "
             "(no admissible multiplier exists at sixth order)"

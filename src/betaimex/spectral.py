@@ -15,6 +15,10 @@ stepper's states are their `np.fft.rfft2` half-spectra, nx-by-(ny//2 + 1)
 complex arrays over the nonnegative y wavenumbers; `np.fft.irfft2(u_hat,
 s=grid.shape)` brings one back.  `Grid2D.KX`, `KY` and `K2`, and with them the
 linear symbol, use the same half-spectrum layout.
+
+The stepper's closure `nonlinear_fourier` makes no new array per call: it
+returns its own half-spectrum buffer, overwritten by the next call, so one
+closure serves one caller at a time.
 """
 from __future__ import annotations
 
@@ -70,22 +74,40 @@ def linear_symbol(params: PhaseFieldParams, grid: Grid2D) -> np.ndarray:
     return params.mobility * grid.K2 ** (params.alpha + 1)
 
 
-def _double_well_slope(params, u):
-    """u(1 - u^2)/eps^2, evaluated in one new array."""
-    w = u * u
-    np.subtract(1.0, w, out=w)
-    w *= u
-    w /= params.eps ** 2
-    return w
+def _double_well_slope(params, u, out):
+    """u(1 - u^2)/eps^2, written into `out`."""
+    np.multiply(u, u, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= u
+    out /= params.eps ** 2
+    return out
 
 
 def nonlinear_fourier(params: PhaseFieldParams, grid: Grid2D):
-    """Half-spectrum closure for the stepper: u_hat -> G[u]_hat."""
+    """Half-spectrum closure for the stepper: u_hat -> G[u]_hat.
+
+    The closure owns its work arrays: one half-spectrum and two real fields,
+    made on the first call for an input shape and again only when the shape
+    changes.  It runs `irfft2` and `rfft2` as numpy does, one axis at a time,
+    into them, and returns its own half-spectrum, which the next call
+    overwrites; so it serves one caller at a time, and the caller consumes
+    (or copies) each result before the next call.  Batches of half-spectra,
+    (..., nx, ny//2 + 1), transform over the last two axes.
+    """
     mult = -params.mobility * (grid.K2 if params.alpha == 1 else 1.0)
+    nx, ny = grid.shape
+    hat = u = w = None
 
     def gee(u_hat):
-        u = np.fft.irfft2(u_hat, s=grid.shape)
-        hat = np.fft.rfft2(_double_well_slope(params, u))
+        nonlocal hat, u, w
+        if hat is None or hat.shape != u_hat.shape:
+            hat = np.empty(u_hat.shape, np.complex128)
+            u = np.empty(u_hat.shape[:-1] + (ny,))
+            w = np.empty_like(u)
+        np.fft.ifft(u_hat, nx, axis=-2, out=hat)
+        np.fft.irfft(hat, ny, axis=-1, out=u)
+        np.fft.rfft(_double_well_slope(params, u, w), axis=-1, out=hat)
+        np.fft.fft(hat, axis=-2, out=hat)
         hat *= mult
         return hat
 

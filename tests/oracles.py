@@ -21,8 +21,9 @@ companion-matrix eigensolves with their own root tolerances, the boundary
 locus of the stability region, the history sums as a loop of scaled adds,
 the stepper's arithmetic rebuilt from the raw coefficients on every call,
 the default start as its own loop of backward-Euler substeps, the
-interface radius by a row loop, the free energy from physical-space
-derivatives and the manufactured source evaluated on the grid.  It also
+interface radius by a row loop, the half-spectrum nonlinearity by
+two-dimensional transforms into fresh arrays, the free energy from
+physical-space derivatives and the manufactured source evaluated on the grid.  It also
 keeps the classical same-gamma condition, which only the tests use.
 """
 from __future__ import annotations
@@ -767,6 +768,23 @@ def radius_of_circle(grid, values):
                 length += dx * (1.0 - frac)
         area += length * grid.dy
     return math.sqrt(area / math.pi)
+
+
+def nonlinear_fourier(params, grid):
+    """`spectral.nonlinear_fourier` by `irfft2` and `rfft2`, each call into fresh arrays."""
+    mult = -params.mobility * (grid.K2 if params.alpha == 1 else 1.0)
+
+    def gee(u_hat):
+        u = np.fft.irfft2(u_hat, s=grid.shape)
+        w = u * u
+        np.subtract(1.0, w, out=w)
+        w *= u
+        w /= params.eps ** 2
+        hat = np.fft.rfft2(w)
+        hat *= mult
+        return hat
+
+    return gee
 
 
 def free_energy(params, grid, values):

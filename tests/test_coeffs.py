@@ -149,6 +149,21 @@ def test_rejects_bad_orders_and_shifts():
         closed_form(5, 7.0)
 
 
+@pytest.mark.parametrize("k", [2.0, 3.0, 1.0, True])
+def test_an_order_that_is_not_an_integer_is_refused(k):
+    # 2.0 == 2, but an order is an integer; the entry points that check the
+    # order refuse it before any arithmetic
+    with pytest.raises(coeffs.OrderError, match=f"order k={k} is not supported"):
+        coeffs.scheme_coefficients(k, 3.0)
+    with pytest.raises(coeffs.OrderError):
+        coeffs.eta(k, 3.0)
+
+
+def test_a_numpy_integer_order_is_an_order():
+    assert coeffs.scheme_coefficients(np.int64(3), 3.0) == coeffs.scheme_coefficients(3, 3.0)
+    assert coeffs.eta(np.int64(4), 2.5) == coeffs.eta(4, 2.5)
+
+
 def test_first_order_integer_record_is_backward_euler():
     # the solver's k = 1 baseline is read off the same integer record; the
     # public entry points still refuse k = 1

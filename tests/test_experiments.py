@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from betaimex import spectral as sp
 from betaimex.experiments import (CH_DESK, CH_FULL, ExperimentConfig,
                                   ch_initial_state, ch_preset, run_allen_cahn_radius,
                                   run_cahn_hilliard, run_convergence, theory_radius)
+import oracles
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -155,3 +157,36 @@ def test_cahn_hilliard_reference_reaches_t_and_leaves_the_schemes_alone():
     # the reference run shares the schemes' ProblemSpec and must not touch it
     assert [(v.energy, v.blowup_step) for v in report.verdicts] == \
         [(v.energy, v.blowup_step) for v in alone.verdicts]
+
+
+def _runs_with_each_nonlinearity(monkeypatch, run):
+    # `run()` once with the closure the package builds, once with the oracle
+    # of fresh two-dimensional transforms in its ProblemSpec
+    first = run()
+    with monkeypatch.context() as m:
+        m.setattr(sp, "nonlinear_fourier", oracles.nonlinear_fourier)
+        second = run()
+    return first, second
+
+
+def test_cahn_hilliard_desk_run_is_the_same_with_the_oracle_nonlinearity(monkeypatch):
+    # the reference and all five schemes, the classical (3, 1) and (4, 1)
+    # among them; one ProblemSpec, so one closure, serves all six runs
+    config = ExperimentConfig(name="cahn-hilliard", small=True, resolution=32, T=2.5e-4)
+    got, want = _runs_with_each_nonlinearity(monkeypatch, lambda: run_cahn_hilliard(config))
+    assert got.reference_checksum == want.reference_checksum
+    assert len(got.verdicts) == len(want.verdicts) == 5
+    assert any(v.diverged for v in got.verdicts) and any(v.stable for v in got.verdicts)
+    for a, b in zip(got.verdicts, want.verdicts):
+        assert (a.k, a.beta, a.times, a.blowup_step) == (b.k, b.beta, b.times, b.blowup_step)
+        assert a.energy == b.energy
+        assert np.array_equal(a.ref_distance, b.ref_distance, equal_nan=True)
+        assert a.final_time == b.final_time and np.array_equal(a.final_values, b.final_values)
+
+
+def test_allen_cahn_run_is_the_same_with_the_oracle_nonlinearity(monkeypatch):
+    config = ExperimentConfig(name="allen-cahn", k=4, beta=3.0, small=True, resolution=64)
+    got, want = _runs_with_each_nonlinearity(monkeypatch, lambda: run_allen_cahn_radius(config))
+    assert not got.diverged and len(got.times) > 100
+    assert (got.times, got.radius) == (want.times, want.radius)
+    assert got.final_time == want.final_time and np.array_equal(got.final_values, want.final_values)

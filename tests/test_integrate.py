@@ -481,3 +481,56 @@ def test_finiteness_check_catches_nan_inf_and_the_limit(value):
     assert isinstance(s.blowup, itg.BlowUpError)
     assert s.blowup_step == 3 and s.blowup.time == 3.0
     assert s.times == [0.0, 1.0, 2.0] and s.final_state[1] == 0.0
+
+
+def _finiteness_verdict(u):
+    try:
+        itg._check_finite(u, 1, 0.5)
+    except itg.BlowUpError:
+        return "raises"
+    return "passes"
+
+
+@pytest.mark.parametrize("re,im,verdict", [
+    (7e9, -7e9, "passes"),  # at the part bound: no exact test needed
+    (-7e9, 7e9, "passes"),
+    (7.07e9, 7.07e9, "passes"),  # |u| = 9.9985e9: the exact test lets it pass
+    (7.08e9, 7.08e9, "raises"),  # |u| = 1.00129e10
+    (0.0, np.nan, "raises"),
+    (np.nan, 0.0, "raises"),
+    (np.inf, 0.0, "raises"),
+    (0.0, -np.inf, "raises"),
+])
+def test_finiteness_check_bounds_the_parts_then_tests_the_modulus(re, im, verdict):
+    assert 7.07e9 * math.sqrt(2.0) < itg.BLOWUP_LIMIT < 7.08e9 * math.sqrt(2.0)
+    u = np.full((4, 3), 0.5 - 0.25j)
+    u[2, 1] = complex(re, im)
+    assert _finiteness_verdict(u) == verdict
+    # a real ring holding the real part, the imaginary part or the modulus
+    for value in (re, im, abs(complex(re, im))):
+        want = "passes" if abs(value) <= itg.BLOWUP_LIMIT else "raises"
+        for sign in (1.0, -1.0):
+            r = np.full((4, 3), 0.5)
+            r[2, 1] = sign * value
+            assert _finiteness_verdict(r) == want
+
+
+@pytest.mark.parametrize("k", [2.0, 1.0, True])
+def test_run_refuses_an_order_that_is_not_an_integer(k):
+    # 1.0 and True equal 1 but do not select the k = 1 baseline
+    spec, exact, dt = _real_vector_problem()
+    with pytest.raises(coeffs.OrderError):
+        itg.run(spec, k, 1.0, dt, 10 * dt)
+    with pytest.raises(coeffs.OrderError):
+        itg.initialize(spec, k, 1.0, dt)
+
+
+@pytest.mark.parametrize("k,beta", [(3, 2.0), (1, 1.0)])
+def test_run_takes_a_numpy_integer_order(k, beta):
+    spec, exact, dt = _real_vector_problem()
+    got, want = (itg.run(spec, order, beta, dt, 10 * dt, observe=lambda u, t: u.copy())
+                 for order in (np.int64(k), k))
+    assert got.times == want.times
+    for a, b in zip(got.values + [got.final_state], want.values + [want.final_state],
+                    strict=True):
+        assert np.array_equal(a, b)

@@ -93,6 +93,36 @@ def test_nonlinear_fourier_matches_physical_oracle(unit_grid, alpha):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_nonlinear_fourier_equals_the_two_dimensional_oracle(n, alpha):
+    # one-axis passes into the closure's buffers give the bits of irfft2 and
+    # rfft2; a batch of three half-spectra after a single one remakes them
+    grid = sp.Grid2D(n, n, 1.0, 1.0)
+    params = sp.PhaseFieldParams(0.7, 0.1, alpha)
+    gee, want = sp.nonlinear_fourier(params, grid), oracles.nonlinear_fourier(params, grid)
+    rng = np.random.default_rng(n + alpha)
+    for shape in ((n, n), (3, n, n)):
+        u_hat = np.fft.rfft2(rng.uniform(-1.0, 1.0, shape))
+        got = gee(u_hat)
+        assert got.shape == shape[:-1] + (n // 2 + 1,)
+        assert np.array_equal(got, want(u_hat))
+    for row in range(3):
+        assert np.array_equal(got[row], want(u_hat[row]))
+
+
+def test_nonlinear_fourier_returns_its_own_buffer(unit_grid):
+    # every call returns the same array, which the next call overwrites
+    params = sp.PhaseFieldParams(0.7, 0.1, 1)
+    gee, want = sp.nonlinear_fourier(params, unit_grid), oracles.nonlinear_fourier(params, unit_grid)
+    rng = np.random.default_rng(5)
+    a, b = (np.fft.rfft2(rng.uniform(-1.0, 1.0, (64, 64))) for _ in range(2))
+    first = gee(a)
+    assert np.array_equal(first, want(a))
+    assert gee(b) is first
+    assert np.array_equal(first, want(b))
+
+
 def test_conserved_variant_kills_zero_mode(unit_grid):
     params = sp.PhaseFieldParams(1.0, 0.04, 1)
     gee = sp.nonlinear_fourier(params, unit_grid)
