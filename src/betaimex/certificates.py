@@ -35,13 +35,17 @@ degree k - 1 in the first two groups, then k, 2k - 2, 2k - 1 and
 (k - 1)(2k - 1), 36 at k = 5.  `_forms(k)` interpolates them exactly, once per
 order and process, from the per-shift route (`_route`: record, pairings,
 subresultant PRS) at the integer shifts 1, 2, ..., and checks them against the
-route at two shifts with D > 1.  `verify --grid` evaluates the forms at
-(n, D) with `polynomials.horner`, the one Horner scheme, which takes D as its
-homogenising argument; one shift (`verify_certificate`, `verify --beta`)
-runs the route, which costs far less than the build.  `_build_report` forms the
-resultants' denominators from a's, c's and d's at full degree, so it refuses
-a shift where one of their leading coefficients vanishes; that happens only at
-negative shifts (C~'s at beta = -1, ..., 1 - k), outside every order's domain.
+route at two shifts with D > 1.  `_build_reports` builds the reports of a
+block of shifts; `verify --grid` hands it `cli.GRID_BLOCK` shifts at a time.
+It evaluates every form at all of the block's (n, D) in one pass, with
+`polynomials.horner`, the one Horner scheme, on numpy object arrays of Python
+integers and D as the homogenising argument, and one stacked eigensolve
+(`polynomials.roots`) gives every C~ root modulus.  One shift
+(`verify_certificate`, `verify --beta`) is a block of one on the route, which
+costs far less than the build.  The resultants' denominators are formed
+from a's, c's and d's at full degree, so a block refuses a shift where one of
+their leading coefficients vanishes; that happens only at negative shifts
+(C~'s at beta = -1, ..., 1 - k), outside every order's domain.
 
 `telescoping` turns each pairing into the energy identity behind the paper's
 stability and error estimates, for every order: with x the levels the pairing
@@ -230,10 +234,18 @@ def _interpolate(xs, ys):
     return tuple(poly)
 
 
-def _evaluate(forms, beta):
-    """`_route` at shift beta, from the forms at (n, D) = beta's numerator and denominator."""
-    n, D = beta.numerator, beta.denominator
-    return tuple([horner(F, n, D) for F in group] for group in forms)
+def _evaluate(forms, shifts):
+    """`_route` at each exact shift, from the forms evaluated at every (n, D) at once.
+
+    n and D are the shifts' numerators and denominators, as numpy object
+    arrays of Python integers, so `horner` runs each group's forms, stacked
+    as coefficient columns, over all of them in exact integer arithmetic.
+    """
+    n = np.array([b.numerator for b in shifts], dtype=object)
+    D = np.array([b.denominator for b in shifts], dtype=object)
+    values = [horner(np.array(group, dtype=object).T[:, :, None], n, D).tolist()
+              for group in forms]
+    return [tuple([v[j] for v in group] for group in values) for j in range(len(shifts))]
 
 
 # the forms' check shifts with D > 1: 0.1 as a double (dyadic), and 7/3
@@ -256,30 +268,42 @@ def _forms(k):
     forms = tuple(tuple(_interpolate(nodes[:e + 1], [s[g][i] for s in samples[:e + 1]])
                         for i in range(len(samples[0][g])))
                   for g, e in enumerate(degrees))
-    for beta in _CHECK_SHIFTS:
-        if _evaluate(forms, beta) != _route(k, beta):
+    for beta, values in zip(_CHECK_SHIFTS, _evaluate(forms, _CHECK_SHIFTS)):
+        if values != _route(k, beta):
             raise ArithmeticError(f"the order-{k} report forms differ from the "
                                   f"per-shift route at beta = {beta}")
     return forms
 
 
-def _build_report(k, beta, forms=None):
-    """The report at one shift, from `forms` (`_forms(k)`) or else by the per-shift route."""
-    beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    # every integer the report reads, exactly: the resultants in floats would
+def _build_reports(k, betas, forms=None):
+    """The reports at the shifts `betas`, in order.
+
+    The integers come from `forms` (`_forms(k)`), evaluated at every shift at
+    once, or else by the per-shift route; one stacked eigensolve gives every
+    C~ root modulus, and the rest of each report is taken shift by shift.
+    """
+    exact = [b if isinstance(b, Fraction) else Fraction(float(b)) for b in betas]
+    # every integer the reports read, exactly: the resultants in floats would
     # lose too many digits to the massive cancellation in them once beta is large
-    (*c_nums, lc), (a_lead, la), (d_lead, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = (
-        _route(k, beta_exact) if forms is None else _evaluate(forms, beta_exact))
-    # Res(P / L_P, Q / L_Q) = Res(P, Q) / (L_P^deg Q L_Q^deg P), with deg A = k
-    # and deg C = deg D = k - 1 unless a leading coefficient vanishes
-    if not (a_lead and c_nums[-1] and d_lead):
-        raise ArithmeticError(f"a leading coefficient vanishes at beta = {beta_exact}, where "
-                              f"the order-{k} report's resultant denominators do not hold")
-    den_ac, den_dc = la ** (k - 1) * lc ** k, (ld * lc) ** (k - 1)
+    values = [_route(k, b) for b in exact] if forms is None else _evaluate(forms, exact)
+    for beta, ((*c_nums, _), (a_lead, _), (d_lead, _), *_) in zip(exact, values):
+        # Res(P / L_P, Q / L_Q) = Res(P, Q) / (L_P^deg Q L_Q^deg P), with deg A = k
+        # and deg C = deg D = k - 1 unless a leading coefficient vanishes
+        if not (a_lead and c_nums[-1] and d_lead):
+            raise ArithmeticError(f"a leading coefficient vanishes at beta = {beta}, where "
+                                  f"the order-{k} report's resultant denominators do not hold")
     # the eigensolve's modulus is the printed estimate; the verdict is exact,
     # since the roots of C~ cluster at 1 once beta is large, and where the
     # estimate contradicts it the printed modulus is a certified bound instead
-    rmax = float(np.abs(roots(_rounded(c_nums, lc))).max())
+    moduli = roots([_rounded(c[:-1], c[-1]) for c, *_ in values])
+    return [_report(k, beta, v, float(np.abs(r).max()))
+            for beta, v, r in zip(betas, values, moduli)]
+
+
+def _report(k, beta, values, rmax):
+    """The report at shift beta from its integers (`_route`'s groups) and C~'s float modulus."""
+    (*c_nums, lc), (_, la), (_, ld), (*f, lf), (*h, lh), (r_ac, r_dc) = values
+    den_ac, den_dc = la ** (k - 1) * lc ** k, (ld * lc) ** (k - 1)
     inside = _roots_inside_unit_disk(c_nums)
     if inside and rmax >= 1.0:
         rmax = _modulus_bound(c_nums)
@@ -314,7 +338,7 @@ def verify_certificate(k, beta) -> CertificateReport:
     takes any beta in [0, 100], the range of the root-modulus claim.
     """
     _check_shift(k, beta)
-    return _build_report(k, beta)
+    return _build_reports(k, [beta])[0]
 
 
 # a symbol root this close to |z| = 1 counts as on the circle

@@ -4,14 +4,14 @@ Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
 The three experiments share one path: `EXPERIMENTS` maps each subcommand to
 its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
 field snapshots, console lines, summary JSON and manifest for all three.
-`verify`, `allen-cahn` and `converge` run their independent jobs (a run of
-beta values, a scheme, a shift) on forked workers, one per usable core, so
-the CPU affinity (`taskset -c 0`) caps them; with one usable core or one job
-they run in this process.  Files, stdout, stderr and exit codes do not depend
-on the core count: results are written in job order as they arrive, and the
-parent emits every admissibility warning, in job order, before the first
-job, whose runs then emit none.  `cahn-hilliard` runs in this process, since
-its fine-step reference run is most of its work.
+`verify`, `allen-cahn` and `converge` run their independent jobs (a block of
+`GRID_BLOCK` beta values, a scheme, a shift) on forked workers, one per
+usable core, so the CPU affinity (`taskset -c 0`) caps them; with one usable
+core or one job they run in this process.  Files, stdout, stderr and exit
+codes do not depend on the core count: results are written in job order as
+they arrive, and the parent emits every admissibility warning, in job order,
+before the first job, whose runs then emit none.  `cahn-hilliard` runs in
+this process, since its fine-step reference run is most of its work.
 Global flags --out/--seed apply everywhere; a JSON config file can preload
 any flag (explicit command-line flags win).  `main` parses with one parser
 built on its first call and shared by every later call in the process; a
@@ -46,9 +46,9 @@ EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 # 100 times the longest sweep in use (1,001 shifts); every shift is built up front
 MAX_GRID_STEPS = 100_000
-# runs of jobs per pool worker: one contiguous share each would leave the
-# command waiting on whichever core other load slows most
-CHUNKS_PER_WORKER = 16
+# shifts per job of a `verify` grid: one pass over the forms and one stacked
+# eigensolve each; 1,001 shifts make 8 jobs, and a grid of one block runs here
+GRID_BLOCK = 128
 
 
 def _usable_cores():
@@ -92,11 +92,10 @@ def _ordered_map(fn, jobs):
     With two or more usable cores and jobs, and where the platform can fork,
     the jobs run on a pool of min(cores, len(jobs)) forked workers, which
     end with the block, or with this process if a signal ends it first.  A
-    worker takes the next free run of contiguous jobs, CHUNKS_PER_WORKER runs
-    per worker or single jobs when there are few, so a worker on a core that
-    other load slows takes fewer runs instead of holding up the rest.  The
-    workers inherit `fn` and `jobs` through the fork, so neither is pickled;
-    only job indices and results cross the pipe.  A job's error is raised in
+    worker takes the next free job, so a worker on a core that other load
+    slows takes fewer jobs instead of holding up the rest.  The workers
+    inherit `fn` and `jobs` through the fork, so neither is pickled; only
+    job indices and results cross the pipe.  A job's error is raised in
     its place, after the results before it, as a serial run raises it, with
     its message; a worker that dies raises `BrokenProcessPool`.  Otherwise
     this is `map(fn, jobs)` in this process.
@@ -110,14 +109,13 @@ def _ordered_map(fn, jobs):
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(fn, jobs))
-    chunk = max(1, len(jobs) // (CHUNKS_PER_WORKER * workers))
 
     def results():
         # the first submit forks, and a worker flushes its copy of the
         # standard streams when it exits
         sys.stdout.flush()
         sys.stderr.flush()
-        for ok, value in pool.map(_job, range(len(jobs)), chunksize=chunk):
+        for ok, value in pool.map(_job, range(len(jobs))):
             if not ok:
                 raise RuntimeError(value)
             yield value
@@ -208,9 +206,10 @@ def cmd_verify(args):
     # a grid's reports read the order's forms, built here once so the pool's
     # workers inherit them; one shift runs the per-shift route instead
     forms = certificates._forms(args.k) if args.grid else None
-    report = functools.partial(certificates._build_report, args.k, forms=forms)
-    with _ordered_map(report, betas) as done:
-        reports = list(done)
+    build = functools.partial(certificates._build_reports, args.k, forms=forms)
+    blocks = [betas[i:i + GRID_BLOCK] for i in range(0, len(betas), GRID_BLOCK)]
+    with _ordered_map(build, blocks) as done:
+        reports = [r for block in done for r in block]
     records = [r.as_dict() for r in reports]
     outdir = _ensure_outdir(args)
     path = os.path.join(outdir, f"verify_k{args.k}.json")

@@ -77,11 +77,15 @@ def _check_beta(beta):
     return beta
 
 
+def _eta(k, beta):
+    # the formula's one home: `eta` checks its arguments, `_build` does not
+    return (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
+
+
 def eta(k, beta):
     """Splitting scalar eta_k(beta); vanishes at beta = 1."""
     _check_order(k)
-    beta = _check_beta(beta)
-    return (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
+    return _eta(k, _check_beta(beta))
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,7 @@ def _build(k, beta) -> SchemeCoefficients:
     entry = Fraction if isinstance(beta, Fraction) else operator.truediv
     a, b, c, d = (tuple(entry(x, den) for x in nums)
                   for nums, den in _integer_record(k, Fraction(beta)))
-    e = (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=e)
+    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=_eta(k, beta))
 
 
 def scheme_coefficients(k, beta):

@@ -39,23 +39,37 @@ def horner(coeffs, x, q=1):
     return acc
 
 
-def roots(coeffs) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues, with a residual guard."""
-    c = _trim(coeffs)
-    n = len(c) - 1
-    if n < 1:
-        raise ValueError("polynomial is constant; no roots to compute")
-    lead = c[n]
-    comp = np.zeros((n, n))
-    comp[np.arange(1, n), np.arange(n - 1)] = 1.0
-    comp[:, -1] = [-ci / lead for ci in c[:n]]
-    rts = np.linalg.eigvals(comp)
-    scale = max(abs(ci) for ci in c)
-    for r in rts:
-        resid = abs(horner(c, r)) / (scale * max(1.0, abs(r)) ** n)
-        if not resid < ROOT_RESIDUAL_TOL:
-            raise ArithmeticError(f"root residual {resid:.3e} exceeds tolerance")
-    return rts
+def roots(coeffs):
+    """All complex roots via companion-matrix eigenvalues, with a residual guard.
+
+    `coeffs` is one polynomial, or a stack of them (2-D), for which the result
+    is the list of each row's roots.  The rows of one trimmed degree share one
+    stacked eigensolve, and each row's roots are those of its own call.
+    """
+    stack = np.ndim(coeffs) == 2
+    rows = [_trim(c) for c in (coeffs if stack else [coeffs])]
+    by_degree = {}
+    for i, c in enumerate(rows):
+        if len(c) < 2:
+            raise ValueError("polynomial is constant; no roots to compute")
+        by_degree.setdefault(len(c) - 1, []).append(i)
+    out = [None] * len(rows)
+    for n, idx in by_degree.items():
+        c = np.array([rows[i] for i in idx])
+        comp = np.zeros((len(idx), n, n))
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, :, -1] = -c[:, :n] / c[:, n:]
+        rts = np.linalg.eigvals(comp)
+        # every root's residual at once: Horner on the rows' coefficient columns
+        resid = (np.abs(horner(c.T[:, :, None], rts))
+                 / (np.abs(c).max(axis=1, keepdims=True) * np.maximum(1.0, np.abs(rts)) ** n))
+        bad = ~(resid < ROOT_RESIDUAL_TOL)
+        if bad.any():
+            raise ArithmeticError(f"root residual {resid[bad][0]:.3e} exceeds tolerance")
+        for i, r in zip(idx, rts):
+            # real, as one matrix's own eigensolve returns them, where they all are
+            out[i] = r if r.imag.any() else r.real
+    return out if stack else out[0]
 
 
 def _exact_trim(c):
@@ -198,8 +212,17 @@ def _real_roots_cubic(c0, c1, c2, c3):
         arg = 3.0 * q / (p * m) if p * m else 0.0
         arg = min(1.0, max(-1.0, arg))
         theta = math.acos(arg)
-        return [shift + m * math.cos((theta - 2.0 * math.pi * kk) / 3.0)
-                for kk in range(3)]
+        xs = [shift + m * math.cos((theta - 2.0 * math.pi * kk) / 3.0) for kk in range(3)]
+        sizes = (abs(c0), abs(c1), abs(c2), abs(c3))
+        if all(abs(horner((c0, c1, c2, c3), x)) <= 1e-8 * horner(sizes, abs(x)) for x in xs):
+            return xs
+        # roots spread over many magnitudes: acos near +-1 loses the small ones
+        # against the shift, while the largest stays accurate.  The other two
+        # are the roots of c3 (x - r)(x^2 + alpha x + beta), whose alpha and
+        # beta come from the low coefficients without cancellation
+        r = max(xs, key=abs)
+        beta = -c0 / (c3 * r)
+        return [r] + _real_roots_quadratic(beta, (beta - c1 / c3) / r, 1.0)
     # single real root (Cardano)
     half_q = -q / 2.0
     rad = math.sqrt(max(0.0, q * q / 4.0 + p ** 3 / 27.0))

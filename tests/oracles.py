@@ -303,7 +303,7 @@ def least_double_bound(p):
 
 
 def fraction_report(k, beta):
-    """`certificates._build_report` from the `Fraction` Vandermonde record, in `Fraction`s."""
+    """A `certificates._build_reports` report from the `Fraction` Vandermonde record, in `Fraction`s."""
     beta_exact = beta if isinstance(beta, Fraction) else Fraction(float(beta))
     rec = vandermonde_record(k, beta_exact)
     # exact resultants: float arithmetic loses too many digits to the massive

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from betaimex import certificates as cert
 from betaimex import coeffs
 from betaimex.polynomials import horner, sylvester_resultant
-from betaimex.cli import _beta_grid
+from betaimex.cli import GRID_BLOCK, _beta_grid
 from oracles import (ETA_TILDE, F_SCALE, _f_coeffs, _h_coeffs, certificate_polynomials,
                      circle_pairing_f, circle_pairing_h, classical_condition,
                      fraction_report, g4_polynomial, printed_resultants,
@@ -152,9 +152,7 @@ def test_report_forms_equal_the_route_integer_for_integer(k):
     crowded = [b for shifts in CROWDED_SHIFTS.values() for b in shifts] + [1e30]
     shifts = ([Fraction(b) for b in grid + crowded]
               + _non_dyadic_shifts(random.Random(k), 25))
-    forms = cert._forms(k)
-    for B in shifts:
-        values = cert._evaluate(forms, B)
+    for B, values in zip(shifts, cert._evaluate(cert._forms(k), shifts)):
         assert all(type(x) is int for group in values for x in group)
         assert values == cert._route(k, B), (k, B)
 
@@ -189,26 +187,41 @@ def test_leading_coefficient_forms_are_positive_at_every_nonnegative_shift():
 
 
 @pytest.mark.parametrize("k, beta", [(5, Fraction(-1)), (5, Fraction(-1, 3)),
-                                     (2, Fraction(-1, 2))])
+                                     (2, Fraction(-1, 2)), (3, Fraction(-1)),
+                                     (4, Fraction(-3, 2))])
 def test_report_forms_refuse_a_vanishing_leading_coefficient(k, beta):
     # c's, d's and a's leading coefficient vanish here, outside every order's
     # domain: the resultants' denominators assume the full degrees, and the
     # forms' formal Sylvester determinants differ from the route's trimmed
-    # resultants, so a report from either source refuses the shift
-    route, values = cert._route(k, beta), cert._evaluate(cert._forms(k), beta)
+    # resultants, so a block from either source refuses the shift, alone or
+    # between shifts it would report
+    route, values = cert._route(k, beta), cert._evaluate(cert._forms(k), [beta])[0]
     assert not (route[0][-2] and route[1][0] and route[2][0])
     assert values[:5] == route[:5] and values[5] != route[5]
     for forms in (None, cert._forms(k)):
-        with pytest.raises(ArithmeticError, match="leading coefficient vanishes"):
-            cert._build_report(k, beta, forms)
+        for block in ([beta], [Fraction(7), beta, Fraction(8)]):
+            with pytest.raises(ArithmeticError, match=f"vanishes at beta = {beta},"):
+                cert._build_reports(k, block, forms)
 
 
-# beta = 0 has Res(D, C) = 0; 1e30 is far past every grid
-@pytest.mark.parametrize("k, beta", [(5, 0.0), (5, 6.38), (5, 100.0), (4, 1e30)])
+# beta = 0 has Res(D, C) = 0; 1e30 is far past every grid; the last two open
+# the second block of `verify --k 5 --grid 0:100:0.1` and of
+# `verify --k 3 --grid 1:100:0.1`
+@pytest.mark.parametrize("k, beta", [(5, 0.0), (5, 6.38), (5, 100.0), (4, 1e30),
+                                     (5, _beta_grid("0:100:0.1")[GRID_BLOCK]),
+                                     (3, _beta_grid("1:100:0.1")[GRID_BLOCK])])
 def test_route_and_forms_give_one_report(k, beta):
-    report = cert._build_report(k, beta)
-    assert report == cert._build_report(k, beta, cert._forms(k))
+    report = cert._build_reports(k, [beta])[0]
+    assert report == cert._build_reports(k, [beta], cert._forms(k))[0]
     assert (report.resultant_DC == 0.0) == (beta == 0.0)
+    # a grid's blocks, the boundary before beta, equal the per-shift reports
+    grid = _beta_grid("0:100:0.1" if k == 5 else "1:100:0.1")
+    if beta in grid:
+        i = grid.index(beta)
+        below, above = grid[max(0, i - 3):i], grid[i:i + 3]
+        blocks = [cert._build_reports(k, block, cert._forms(k))
+                  for block in (below, above) if block]
+        assert sum(blocks, []) == [cert._build_reports(k, [b])[0] for b in below + above]
 
 
 def test_one_shift_runs_the_route_and_builds_no_forms(monkeypatch):
@@ -223,9 +236,9 @@ def test_one_shift_runs_the_route_and_builds_no_forms(monkeypatch):
     report = cert.verify_certificate(5, 7.0)
     assert len(calls) == 2 and cert._forms.cache_info().currsize == 0
     calls.clear()
-    assert cert._build_report(5, 7.0, cert._forms(5)) == report
+    assert cert._build_reports(5, [7.0], cert._forms(5)) == [report]
     built = len(calls)
-    cert._build_report(5, 8.0, cert._forms(5))
+    cert._build_reports(5, [8.0, 9.0], cert._forms(5))
     assert built > 0 and len(calls) == built
 
 

@@ -440,12 +440,6 @@ def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
             raise ValueError("job 2 failed")
         return j
 
-    # many jobs go out in runs of contiguous jobs, CHUNKS_PER_WORKER per worker
-    runs = 2 * cli.CHUNKS_PER_WORKER
-    pids = run(2, lambda job: os.getpid(), [None] * (3 * runs + 2))
-    assert all(len(set(pids[i:i + 3])) == 1 for i in range(0, 3 * runs, 3))
-    assert os.getpid() not in pids
-
     # a worker that dies breaks the pool instead of hanging it
     with pytest.raises(BrokenProcessPool):
         run(2, lambda j: os._exit(3) if j == 1 else j, range(4))
@@ -461,7 +455,7 @@ def test_ordered_map_keeps_job_order_on_forked_workers(monkeypatch):
 
 
 POOLED = [
-    ["verify", "--k", "4", "--grid", "1:3:0.1"],
+    ["verify", "--k", "4", "--grid", "1:30:0.1"],  # three blocks of shifts
     ["allen-cahn", "--resolution", "32", "--T", "30", "--dt", "5", "--schemes", "[[2,1],[3,3]]"],
     ["converge", "--k", "3", "--beta", "1,3", "--resolution", "16",
      "--dts", "0.05,0.025,0.0125,0.00625"],
@@ -489,23 +483,25 @@ def test_program_output_does_not_depend_on_the_core_count(tmp_path, argv):
 
 
 def test_verify_builds_the_report_forms_before_the_pool(tmp_path, capsys, monkeypatch):
-    # a grid's forked workers inherit the forms instead of each building them;
-    # one shift runs the per-shift route and builds none
+    # a grid's forked workers inherit the forms instead of each building them,
+    # and take the grid in blocks of GRID_BLOCK shifts; one shift runs the
+    # per-shift route as a block of one and builds no forms
     pooled = cli._ordered_map
     warm = []
 
     def checked(fn, jobs):
-        warm.append(certificates._forms.cache_info().currsize)
+        warm.append((certificates._forms.cache_info().currsize, [len(b) for b in jobs]))
         return pooled(fn, jobs)
 
     certificates._forms.cache_clear()
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     monkeypatch.setattr(cli, "_ordered_map", checked)
     code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--beta", "2"], capsys)
-    assert code == 0 and warm == [0]
-    code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--grid", "1:2:0.5"],
-                      capsys)
-    assert code == 0 and warm == [0, 1]
+    assert code == 0 and warm == [(0, [1])]
+    for grid, blocks in (("1:2:0.5", [3]), ("1:30:0.1", [128, 128, 35])):
+        code, _ = run_cli(["--out", str(tmp_path), "verify", "--k", "3", "--grid", grid],
+                          capsys)
+        assert code == 0 and warm[-1] == (1, blocks)
 
 
 def test_importing_the_cli_builds_no_report_forms():
@@ -600,7 +596,7 @@ def test_pool_workers_end_when_their_command_is_killed():
 def test_pooled_verify_warns_once_per_shift_in_beta_order(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     with pytest.warns(UserWarning) as record:
-        code = cli.main(["--out", str(tmp_path), "verify", "--k", "4", "--grid", "1:3:0.1"])
+        code = cli.main(["--out", str(tmp_path), "verify", "--k", "4", "--grid", "1:30:0.1"])
     assert code == 2 and not multiprocessing.active_children()
     assert [str(w.message) for w in record if w.category is UserWarning] == \
         [f"k=4 with beta={b / 10:g}: multiplier certificate requires beta >= 2"

@@ -48,6 +48,18 @@ def test_eta_values():
     assert coeffs.eta(5, 6.5) == pytest.approx(5.5 / 21.5, rel=1e-15)
 
 
+def test_eta_is_the_records_eta_and_builds_no_record(recwarn):
+    # one formula gives both; eta builds no coefficient record, so it warns
+    # below the admissible shift no more than before, and answers at a shift
+    # whose record no longer fits in floats
+    for k in coeffs.ORDERS:
+        for beta in (1.0, 1.5, 6.38, 1e6, Fraction(7, 3)):
+            e = coeffs.eta(k, beta)
+            assert type(e) is type(beta) and e == coeffs._build(k, beta).eta
+    assert not recwarn
+    assert coeffs.eta(5, 1e300) == 1.0
+
+
 def test_split_examples():
     for beta in BETA_GRID:
         d = coeffs.scheme_coefficients(2, beta).d

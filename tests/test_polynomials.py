@@ -33,6 +33,15 @@ def test_critical_points_of_a_nearly_triple_root():
     assert len(crit) == 3 and max(abs(x) for x in crit) < 1e-100
 
 
+def test_critical_points_of_widely_spread_roots():
+    # p' = 2y + 3y^2 + 2.4e-7 y^3 has roots 0, -2/3 and about -1.26e7: the
+    # trigonometric closed form alone put the root at 0 near -6.5e-4, so the
+    # minimum of p on [-1, 1], 0 at y = 0, was missed
+    crit = sorted(real_critical_points([0.0, 0.0, 1.0, 1.0, 5.960464477539063e-08]))
+    assert crit[0] == pytest.approx(-12582911.33, rel=1e-9)
+    assert crit[1] == pytest.approx(-2 / 3, rel=1e-6) and abs(crit[2]) < 1e-15
+
+
 def test_roots_difference_of_squares():
     r = sorted(roots([-1.0, 0.0, 1.0]).real)
     assert np.allclose(r, [-1.0, 1.0])
@@ -47,6 +56,25 @@ def test_explicit_polynomial_root_examples():
     c = coeffs.scheme_coefficients(3, 2.0).c
     r = roots(c)
     assert np.allclose(np.abs(r) ** 2, 0.5, rtol=1e-10)
+
+
+def test_stacked_roots_equal_each_rows_own_call():
+    # two cubics, one with complex roots and one with real roots, share an
+    # eigensolve; the second row trims to a quadratic, the fourth to degree 1
+    rows = [[0.5, -0.3, 0.2, 1.0], [2.0, -1.0, 1.0, 1e-17], [-6.0, 11.0, -6.0, 1.0],
+            [1.0, 2.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0]]
+    stacked = roots(rows)
+    assert len(stacked) == len(rows)
+    for row, got in zip(rows, stacked):
+        want = roots(row)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the huge root of this row misses the residual guard, alone or stacked
+    bad = [-1e-3, 1.0, 1e-11, 0.0]
+    with pytest.raises(ArithmeticError, match="root residual") as alone:
+        roots(bad)
+    with pytest.raises(ArithmeticError) as among:
+        roots(rows[:3] + [bad])
+    assert str(among.value) == str(alone.value)
 
 
 def test_roots_rejects_constant():
