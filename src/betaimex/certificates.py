@@ -402,11 +402,3 @@ def telescoping(k, beta):
     a, _, c, d = coeffs._integer_record(k, Fraction(coeffs._check_beta(beta)))
     return (_energy_identity(a, ([0] + c[0], c[1]), deflate=True),
             _energy_identity(d, c, deflate=False))
-
-
-def stability_condition(k, beta, gamma):
-    """Margin eta_k(beta) - sqrt(gamma) of the semi-implicit stability condition."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    margin = coeffs.eta(k, beta) - math.sqrt(gamma)
-    return margin, margin > 0.0

@@ -338,8 +338,9 @@ def cmd_experiment(args):
     any scheme diverged.
     """
     run, stem, header, line = EXPERIMENTS[args.command]
-    outdir = _ensure_outdir(args)
     results, summary_name, summary, manifest = run(args)
+    # only now: `run` has checked every pair, and a refused command makes no directory
+    outdir = _ensure_outdir(args)
     entries, diverged = [], False
     with results as reports:
         for rep in reports:

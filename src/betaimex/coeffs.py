@@ -12,7 +12,7 @@ of Lagrange differentiation and interpolation at beta on the equispaced
 nodes beta-1, ..., beta+k-1; `_integer_record` builds them in integers, and
 every record is read off it.  beta = 1 recovers the classical schemes.
 
-The implicit combination splits as b = eta * c + d with the scalar eta(k, beta)
+The implicit combination splits as b = eta * c + d, with the record's `eta`
 hard-wired to (beta-1)/beta, (beta-1)/(beta+1), (beta-1)/(beta+3),
 (beta-1)/(beta+15) for k = 2..5; this splitting is what the energy estimates
 and identities in `certificates` are built on.  Offset 0 for k = 1 serves the
@@ -75,17 +75,6 @@ def _check_beta(beta):
     if beta < 1.0:
         raise ValueError(f"shift beta={beta} must be >= 1")
     return beta
-
-
-def _eta(k, beta):
-    # the formula's one home: `eta` checks its arguments, `_build` does not
-    return (beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k])
-
-
-def eta(k, beta):
-    """Splitting scalar eta_k(beta); vanishes at beta = 1."""
-    _check_order(k)
-    return _eta(k, _check_beta(beta))
 
 
 @dataclass(frozen=True)
@@ -189,7 +178,8 @@ def _build(k, beta) -> SchemeCoefficients:
     entry = Fraction if isinstance(beta, Fraction) else operator.truediv
     a, b, c, d = (tuple(entry(x, den) for x in nums)
                   for nums, den in _integer_record(k, Fraction(beta)))
-    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d, eta=_eta(k, beta))
+    return SchemeCoefficients(k=k, beta=beta, a=a, b=b, c=c, d=d,
+                              eta=(beta - 1) / (beta + ETA_DENOMINATOR_OFFSET[k]))
 
 
 def scheme_coefficients(k, beta):

@@ -75,6 +75,8 @@ class ExperimentConfig:
                 raise ValueError("dt sweep entries must be positive and finite")
             if any(a <= b for a, b in zip(sweep, sweep[1:])):
                 raise ValueError("dt sweep must be strictly decreasing")
+            if len(sweep) < 4:
+                raise ValueError("slope fit needs at least 4 dt values")
             self.dt_sweep = sweep
 
 
@@ -124,8 +126,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     params = sp.MANUFACTURED_PARAMS
     T = 1.0 if config.T is None else config.T
     dts = CONVERGENCE_DT_SWEEP if config.dt_sweep is None else config.dt_sweep
-    if len(dts) < 4:
-        raise ValueError("slope fit needs at least 4 dt values")
 
     def exact_state(t):
         return np.fft.rfft2(sp.manufactured_solution(grid, t))

@@ -364,15 +364,6 @@ def test_k5_reports_take_no_admissibility_warning():
     assert rep.beta == 0.5 and not rep.passed and rep.max_root_modulus_C < 1.0
 
 
-def test_stability_condition_examples():
-    margin, ok = cert.stability_condition(4, 5.0, 0.25)
-    assert margin == 0.0 and not ok
-    margin, ok = cert.stability_condition(2, 2.0, 0.0)
-    assert margin == 0.5 and ok
-    margin, ok = cert.stability_condition(3, 3.0, 0.04)
-    assert margin == pytest.approx(0.3, abs=1e-15) and ok
-
-
 def test_classical_condition_constants():
     assert ETA_TILDE == {2: 0.0, 3: 0.0836, 4: 0.2878}
     sums = {k: float(np.abs(coeffs.scheme_coefficients(k, 1.0).c).sum()) for k in (2, 3, 4)}

@@ -395,15 +395,27 @@ def test_converge_rejects_bad_shifts_before_the_first_run(tmp_path, capsys, beta
     (["converge", "--k", "4", "--beta", "1,0.5"], "--beta entry k=4"),
     (["allen-cahn", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4"),
     (["cahn-hilliard", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4")])
-def test_a_refused_experiment_leaves_its_new_out_directory_empty(tmp_path, capsys, argv, flag):
-    # the output directory is made before the shifts are checked, so a
-    # refused command leaves it behind, empty
+def test_a_refused_experiment_makes_no_out_directory(tmp_path, capsys, argv, flag):
+    # the output directory is made after the shifts are checked
     out = tmp_path / "new"
     code = cli.main(["--out", str(out)] + argv)
     assert code == 1
     assert capsys.readouterr().err == (f"error: {flag}, beta=0.5: "
                                        "shift beta=0.5 must be >= 1\n")
-    assert out.is_dir() and not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_a_short_dt_sweep_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    # the config refuses it in this process, so no worker is forked for it
+    def no_pool(fn, jobs):
+        pytest.fail("a refused sweep reached the pool")
+    monkeypatch.setattr(cli, "_ordered_map", no_pool)
+    out = tmp_path / "new"
+    code = cli.main(["--out", str(out), "converge", "--k", "3", "--beta", "1,3",
+                     "--dts", "0.1,0.05,0.02"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: slope fit needs at least 4 dt values\n"
+    assert not out.exists()
 
 
 def test_cahn_hilliard_warns_for_the_requested_schemes_only(tmp_path, capsys):

@@ -34,9 +34,8 @@ def test_config_needs_positive_finite_values(name, value):
 
 def test_convergence_needs_four_points():
     cfg = ExperimentConfig(name="converge", k=2, beta=1.0, dt_sweep=(0.1, 0.05, 0.025, 0.0125))
-    with pytest.raises(ValueError):
-        run_convergence(ExperimentConfig(name="converge", k=2, beta=1.0,
-                                         dt_sweep=(0.1, 0.05)))
+    with pytest.raises(ValueError, match="^slope fit needs at least 4 dt values$"):
+        ExperimentConfig(name="converge", k=2, beta=1.0, dt_sweep=(0.1, 0.05, 0.025))
     rep = run_convergence(cfg)
     assert len(rep.errors) == 4 and abs(rep.slope - 2.0) < 0.35
 
