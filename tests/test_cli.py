@@ -395,8 +395,9 @@ def test_converge_rejects_bad_shifts_before_the_first_run(tmp_path, capsys, beta
     (["converge", "--k", "4", "--beta", "1,0.5"], "--beta entry k=4"),
     (["allen-cahn", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4"),
     (["cahn-hilliard", "--schemes", "[[2,1],[4,0.5]]"], "--schemes entry k=4")])
-def test_a_refused_experiment_makes_no_out_directory(tmp_path, capsys, argv, flag):
-    # the output directory is made after the shifts are checked
+def test_a_refused_experiment_leaves_its_new_out_directory_empty(tmp_path, capsys, argv, flag):
+    # the output directory is made after the shifts are checked, so a refused
+    # command leaves nothing at all where it was asked for
     out = tmp_path / "new"
     code = cli.main(["--out", str(out)] + argv)
     assert code == 1
