@@ -12,12 +12,10 @@ codes do not depend on the core count: results are written in job order as
 they arrive, and the parent emits every admissibility warning, in job order,
 before the first job, whose runs then emit none.  `cahn-hilliard` runs in
 this process, since its fine-step reference run is most of its work.
-Global flags --out/--seed apply everywhere; a JSON config file can preload
-any flag (explicit command-line flags win).  `main` parses with one parser
-built on its first call and shared by every later call in the process; a
-call with --config preloads a parser of its own, so the shared one never
-changes.  Exit codes: 0 all good, 2 completed but some scheme was judged
-unstable, 1 usage or internal error.  Run as a program, warnings print as
+Global flags --out/--seed apply everywhere.  `main` parses with one parser
+built on its first call and shared by every later call in the process.
+Exit codes: 0 all good, 2 completed but some scheme was judged unstable,
+1 usage or internal error.  Run as a program, warnings print as
 `warning: <message>` without a source location.
 """
 from __future__ import annotations
@@ -249,14 +247,27 @@ def _parse_schemes(text):
     return given, schemes
 
 
+def _tag(k, beta):
+    """The part of an experiment's file names that says which scheme wrote them."""
+    return f"k{k}_beta{beta:g}"
+
+
 def _checked(run, flag, schemes):
     """`run` of the (k, beta) pairs `schemes`, each checked before the first run.
 
-    A pair is resolved as its run will resolve it, and one the run would
-    refuse is an error that names `flag`.  The admissibility warnings come
+    A pair whose files would overwrite an earlier pair's is an error that
+    names `flag`, and so is a pair the run would refuse; each pair is
+    resolved as its run will resolve it.  The admissibility warnings come
     from here, once each and in job order, which a pool's workers could not
     keep; the `run` returned emits none.
     """
+    tagged = {}
+    for k, beta in schemes:
+        tag, entry = _tag(k, beta), f"k={k}, beta={beta!r}"
+        if tag in tagged:
+            raise ValueError(f"{flag} entries {tagged[tag]} and {entry} "
+                             f"would both write the files tagged {tag}")
+        tagged[tag] = entry
     for k, beta in schemes:
         try:
             itg._resolve_coefficients(k, beta)
@@ -344,7 +355,7 @@ def cmd_experiment(args):
     entries, diverged = [], False
     with results as reports:
         for rep in reports:
-            tag = f"k{rep.k}_beta{rep.beta:g}"
+            tag = _tag(rep.k, rep.beta)
             write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
             if rep.final_values is not None:
                 write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
@@ -368,7 +379,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="betaimex", description="shifted BDF/IMEX scheme toolbox")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="JSON file preloading any flag of the subcommand")
     parser.add_argument("--out", help="output directory", default=None)
     parser.add_argument("--seed", type=int, default=1234)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,29 +432,6 @@ def build_parser():
     return parser
 
 
-def _preload(parser, loaded):
-    """Make the `--config` values of `parser`'s own flags its defaults.
-
-    A value goes in as the text the command line would carry, so the flag's
-    type converts it; a switch takes true or false.  Anything else is a usage
-    error that names the flag.
-    """
-    defaults = {}
-    for action in parser._actions:
-        if not action.option_strings or action.dest not in loaded:
-            continue
-        value, flag = loaded[action.dest], action.option_strings[-1]
-        if action.nargs == 0:
-            if not isinstance(value, bool):
-                parser.error(f"--config: {flag} takes true or false, not {value!r}")
-        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            value = str(value)
-        else:
-            parser.error(f"--config: {flag} takes a string or a number, not {value!r}")
-        defaults[action.dest] = value
-    parser.set_defaults(**defaults)
-
-
 @functools.cache
 def _shared_parser():
     return build_parser()
@@ -452,23 +439,6 @@ def _shared_parser():
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    if args.config:
-        # preloading rewrites a parser's defaults, so it gets a parser of its own
-        parser = build_parser()
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config: cannot read {args.config}: {exc}")
-        if not isinstance(loaded, dict):
-            parser.error("--config: the file must hold a JSON object of flag values")
-        # as defaults, so explicit flags win; a subcommand's own defaults
-        # would overwrite anything preloaded into the namespace
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        for p in (parser, subparsers.choices[args.command]):
-            _preload(p, loaded)
-        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

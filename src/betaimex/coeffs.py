@@ -187,7 +187,11 @@ def scheme_coefficients(k, beta):
     _check_order(k)
     beta = _check_beta(beta)
     _admissibility_warning(k, beta)
-    return _build(k, beta)
+    try:
+        return _build(k, beta)
+    except OverflowError:  # a float weight past the float range; a Fraction never overflows
+        raise ValueError(f"order k={k} at shift beta={beta!r} has a weight beyond "
+                         "the float range") from None
 
 
 def exact_scheme_coefficients(k, beta):

@@ -69,6 +69,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:  # false for a nan too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.resolution is not None and self.resolution % 2:
+            raise ValueError(f"resolution must be even, got {self.resolution}")
         if self.dt_sweep is not None:
             sweep = tuple(float(d) for d in self.dt_sweep)
             if not all(0 < d < math.inf for d in sweep):

@@ -406,11 +406,48 @@ def test_a_refused_experiment_leaves_its_new_out_directory_empty(tmp_path, capsy
     assert not out.exists()
 
 
+def _no_pool(fn, jobs):
+    pytest.fail("a refused command reached the pool")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["converge", "--k", "2", "--beta", "3.0000001,3.0000002", "--resolution", "8",
+      "--dts", "0.05,0.025,0.0125,0.00625"],
+     "--beta entries k=2, beta=3.0000001 and k=2, beta=3.0000002 "
+     "would both write the files tagged k2_beta3"),
+    (["allen-cahn", "--schemes", "[[4,1],[2,3],[2,3]]"],
+     "--schemes entries k=2, beta=3.0 and k=2, beta=3.0 "
+     "would both write the files tagged k2_beta3"),
+    (["cahn-hilliard", "--small", "--schemes", "[[4,1],[2,1.0000001],[2,1]]"],
+     "--schemes entries k=2, beta=1.0000001 and k=2, beta=1.0 "
+     "would both write the files tagged k2_beta1"),
+    (["allen-cahn", "--resolution", "33", "--T", "15", "--dt", "5", "--schemes", "[[4,1]]"],
+     "resolution must be even, got 33"),
+    (["converge", "--k", "4", "--beta", "1,3", "--resolution", "15"],
+     "resolution must be even, got 15"),
+    (["cahn-hilliard", "--small", "--resolution", "33", "--no-reference"],
+     "resolution must be even, got 33"),
+    (["allen-cahn", "--schemes", "[[5,1e78]]", "--resolution", "32", "--T", "10", "--dt", "5"],
+     "--schemes entry k=5, beta=1e+78: order k=5 at shift beta=1e+78 has a weight "
+     "beyond the float range")])
+def test_a_refused_run_warns_of_nothing_and_forks_nothing(tmp_path, capsys, monkeypatch,
+                                                          argv, err):
+    # files that one entry would overwrite with another's, an odd grid, a
+    # record past the float range: refused before any k = 4 warning, worker
+    # or directory
+    monkeypatch.setattr(cli, "_ordered_map", _no_pool)
+    out = tmp_path / "new"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = cli.main(["--out", str(out)] + argv)
+    assert code == 1 and not record
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
 def test_a_short_dt_sweep_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
     # the config refuses it in this process, so no worker is forked for it
-    def no_pool(fn, jobs):
-        pytest.fail("a refused sweep reached the pool")
-    monkeypatch.setattr(cli, "_ordered_map", no_pool)
+    monkeypatch.setattr(cli, "_ordered_map", _no_pool)
     out = tmp_path / "new"
     code = cli.main(["--out", str(out), "converge", "--k", "3", "--beta", "1,3",
                      "--dts", "0.1,0.05,0.02"])
@@ -616,33 +653,12 @@ def test_pooled_verify_warns_once_per_shift_in_beta_order(tmp_path, monkeypatch)
          for b in range(10, 20)]
 
 
-def test_config_file_preloads_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": 2, "beta": "5"}))
-    code, out = run_cli(["--config", str(cfg), "coeffs", "--k", "2", "--beta", "1"], capsys)
-    # explicit flag wins over the config file
-    assert code == 0 and json.loads(out)["beta"] == 1.0
-    code, out = run_cli(["--config", str(cfg), "coeffs", "--k", "2", "--beta", "5"], capsys)
-    assert json.loads(out)["a"] == [4.5, -10.0, 5.5]
-    # flags set in the file alone reach the subcommand; required ones must be given
-    cfg.write_text(json.dumps({"res": "8,8", "window": "-4,2,-3,3", "k": 3}))
-    code, out = run_cli(["--out", str(tmp_path), "--config", str(cfg), "stability",
-                         "--k", "2", "--beta", "1"], capsys)
-    assert code == 0 and json.loads(out)["resolution"] == [8, 8]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"] == {"k": 2, "beta": 1.0, "window": [-4.0, 2.0, -3.0, 3.0],
-                                  "res": "8,8"}
-    with pytest.raises(SystemExit):
-        cli.main(["--config", str(cfg), "stability", "--beta", "1"])
-
-
-def test_config_leaves_later_calls_their_own_defaults(tmp_path, capsys):
-    # main shares one parser across calls; a --config call must not preload it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 7, "beta": 3}))
-    code, _ = run_cli(["--out", str(tmp_path / "config"), "--config", str(cfg), "verify",
-                       "--k", "2"], capsys)
-    manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+def test_later_calls_keep_their_own_defaults(tmp_path, capsys):
+    # main shares one parser across calls; a call's flags must not become
+    # the defaults of the calls after it
+    code, _ = run_cli(["--out", str(tmp_path / "flags"), "--seed", "7", "verify",
+                       "--k", "2", "--beta", "3"], capsys)
+    manifest = json.loads((tmp_path / "flags" / "manifest.json").read_text())
     assert code == 0 and manifest["seed"] == 7 and manifest["config"]["beta"] == 3.0
     code, _ = run_cli(["--out", str(tmp_path / "plain"), "stability", "--k", "3",
                        "--beta", "1", "--res", "6,6"], capsys)
@@ -656,51 +672,18 @@ def test_config_leaves_later_calls_their_own_defaults(tmp_path, capsys):
 
 
 def test_usage_errors_exit_1_not_the_unstable_code_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"beta": "abc"}))
-    for argv, flag in ((["--config", str(cfg), "verify", "--k", "2"], "--beta"),
-                       (["stability", "--beta", "1"], "--k"),
-                       (["--config", str(tmp_path / "none.json"), "coeffs", "--k", "2", "--beta", "1"],
-                        "--config")):
+    # flags come from the command line only: there is no --config file
+    for argv, named in ((["verify", "--k", "2", "--beta", "abc"], "--beta"),
+                        (["stability", "--beta", "1"], "--k"),
+                        (["--config", "cfg.json", "coeffs", "--k", "2", "--beta", "1"],
+                         "cfg.json"),
+                        (["--config=cfg.json", "coeffs", "--k", "2", "--beta", "1"],
+                         "--config")):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
+            cli.main(["--out", str(tmp_path / "out"), *argv])
         assert exc.value.code == cli.EXIT_ERROR == 1
-        assert flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("loaded,flag", [
-    ({"res": [8, 8]}, "--res"), ({"window": None}, "--window"), ({"seed": 2.5}, "--seed"),
-    ({"beta": {"x": 1}}, "--beta"), ({"beta": True}, "--beta"), ({"res": "8"}, "--res")])
-def test_config_values_go_through_their_flags_type(tmp_path, capsys, loaded, flag):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(loaded))
-    out = tmp_path / "out"
-    try:
-        code = cli.main(["--out", str(out), "--config", str(cfg), "stability",
-                         "--k", "2", "--beta", "1"])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 1 and flag in capsys.readouterr().err
-    assert not any(out.glob("*.pgm"))
-
-
-def test_config_numbers_and_switches_reach_their_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    # a number goes in as its command-line text; required flags stay on the line
-    cfg.write_text(json.dumps({"beta": 3, "seed": 7}))
-    code, _ = run_cli(["--out", str(tmp_path), "--config", str(cfg), "verify", "--k", "2"],
-                      capsys)
-    assert code == 0
-    assert json.loads((tmp_path / "verify_k2.json").read_text())[0]["beta"] == 3.0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["beta"] == 3.0 and manifest["seed"] == 7
-    cfg.write_text(json.dumps({"exact": True}))
-    code, out = run_cli(["--config", str(cfg), "coeffs", "--k", "3", "--beta", "3/2"], capsys)
-    assert code == 0 and json.loads(out)["beta"] == "3/2"
-    cfg.write_text(json.dumps({"exact": "yes"}))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "coeffs", "--k", "2", "--beta", "1"])
-    assert exc.value.code == 1 and "--exact" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_internal_error_exit_code(capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,16 @@ def test_rejects_bad_orders_and_shifts():
         coeffs.scheme_coefficients(2, 0.5)
     with pytest.raises(coeffs.OrderError):
         closed_form(5, 7.0)
+
+
+@pytest.mark.parametrize("k,beta", [(5, 1e78), (3, 1e160), (2, 1.7e308)])
+def test_a_float_record_past_the_float_range_names_its_scheme(k, beta):
+    # the rational record exists; only its rounding to floats overflows
+    with pytest.raises(ValueError, match=re.escape(
+            f"order k={k} at shift beta={beta!r} has a weight beyond the float range")):
+        coeffs.scheme_coefficients(k, beta)
+    exact = coeffs.scheme_coefficients(k, Fraction(beta))
+    assert max(abs(w) for w in exact.a) > sys.float_info.max
 
 
 @pytest.mark.parametrize("k", [2.0, 3.0, 1.0, True])

@@ -32,6 +32,13 @@ def test_config_needs_positive_finite_values(name, value):
         ExperimentConfig(name="x", **{name: value})
 
 
+def test_config_needs_an_even_resolution():
+    # the grid would refuse it too, but only inside the run
+    with pytest.raises(ValueError, match="^resolution must be even, got 33$"):
+        ExperimentConfig(name="x", resolution=33)
+    assert ExperimentConfig(name="x", resolution=32).resolution == 32
+
+
 def test_convergence_needs_four_points():
     cfg = ExperimentConfig(name="converge", k=2, beta=1.0, dt_sweep=(0.1, 0.05, 0.025, 0.0125))
     with pytest.raises(ValueError, match="^slope fit needs at least 4 dt values$"):
