@@ -123,6 +123,21 @@ def _ordered_map(fn, jobs):
         pool.shutdown(cancel_futures=True)
 
 
+def _numbers(text, flag, form, count=None, kind=float, sep=","):
+    """The `sep`-separated numbers of `text`, the value of `flag`, as a tuple.
+
+    A part that `kind` cannot read, or a count other than `count` where one
+    is given, is a ValueError that names `flag` and the `form` it takes.
+    """
+    try:
+        values = tuple(kind(v) for v in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ValueError(f"{flag} needs {form}, got {text!r}")
+    return values
+
+
 def _ensure_outdir(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -161,12 +176,8 @@ def cmd_coeffs(args):
 
 
 def cmd_stability(args):
-    window = tuple(float(v) for v in args.window.split(","))
-    if len(window) != 4:
-        raise ValueError("--window needs re_lo,re_hi,im_lo,im_hi")
-    res = tuple(int(v) for v in args.res.split(","))
-    if len(res) != 2:
-        raise ValueError("--res needs NX,NY")
+    window = _numbers(args.window, "--window", "re_lo,re_hi,im_lo,im_hi", count=4)
+    res = _numbers(args.res, "--res", "NX,NY", count=2, kind=int)
     grid = stability.scan_region(args.k, args.beta, window=window, resolution=res)
     outdir = _ensure_outdir(args)
     stem = os.path.join(outdir, f"stability_k{args.k}_beta{args.beta:g}")
@@ -182,7 +193,7 @@ def cmd_stability(args):
 
 
 def _beta_grid(spec_str):
-    lo, hi, step = (float(p) for p in spec_str.split(":"))
+    lo, hi, step = _numbers(spec_str, "--grid", "lo:hi:step", count=3, sep=":")
     if not (step > 0 and hi >= lo):  # false for a nan too
         raise ValueError("--grid requires lo <= hi and step > 0")
     if not all(math.isfinite(v) for v in (lo, hi, step, (hi - lo) / step)):
@@ -195,15 +206,12 @@ def _beta_grid(spec_str):
 
 
 def cmd_verify(args):
-    if args.grid:
-        betas = _beta_grid(args.grid)
-    else:
-        betas = [args.beta]
+    betas = [args.beta] if args.grid is None else _beta_grid(args.grid)
     for b in betas:  # here, so the warnings come once each and in beta order
         certificates._check_shift(args.k, b)
     # a grid's reports read the order's forms, built here once so the pool's
     # workers inherit them; one shift runs the per-shift route instead
-    forms = certificates._forms(args.k) if args.grid else None
+    forms = None if args.grid is None else certificates._forms(args.k)
     build = functools.partial(certificates._build_reports, args.k, forms=forms)
     blocks = [betas[i:i + GRID_BLOCK] for i in range(0, len(betas), GRID_BLOCK)]
     with _ordered_map(build, blocks) as done:
@@ -219,10 +227,6 @@ def cmd_verify(args):
         print(f"k={r.k} beta={r.beta:g}: {verdict}  min_f={r.min_f:.3e} "
               f"min_h={r.min_h:.3e} rmax={r.max_root_modulus_C:.6f}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_UNSTABLE
-
-
-def _parse_betas(text):
-    return [float(b) for b in str(text).split(",")]
 
 
 def _parse_schemes(text):
@@ -281,10 +285,11 @@ def _checked(run, flag, schemes):
 
 
 def _converge(args):
-    sweep = tuple(float(d) for d in args.dts.split(",")) if args.dts else CONVERGENCE_DT_SWEEP
+    sweep = (CONVERGENCE_DT_SWEEP if args.dts is None
+             else _numbers(args.dts, "--dts", "a comma list of steps"))
     configs = [ExperimentConfig(name=args.command, k=args.k, beta=beta, dt_sweep=sweep,
                                 resolution=args.resolution, T=args.T, seed=args.seed)
-               for beta in _parse_betas(args.beta)]
+               for beta in _numbers(args.beta, "--beta", "a comma list of shifts")]
     run = _checked(run_convergence, "--beta", [(c.k, c.beta) for c in configs])
     manifest = {"k": args.k, "beta": args.beta, "dts": list(sweep),
                 "resolution": args.resolution, "T": args.T}
@@ -350,11 +355,12 @@ def cmd_experiment(args):
     """
     run, stem, header, line = EXPERIMENTS[args.command]
     results, summary_name, summary, manifest = run(args)
-    # only now: `run` has checked every pair, and a refused command makes no directory
-    outdir = _ensure_outdir(args)
     entries, diverged = [], False
     with results as reports:
         for rep in reports:
+            # made with the first report, so a refused command or a failing
+            # first job makes no directory
+            outdir = _ensure_outdir(args)
             tag = _tag(rep.k, rep.beta)
             write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
             if rep.final_values is not None:
@@ -369,7 +375,11 @@ def cmd_experiment(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1; 2 means "judged unstable"."""
+    """argparse with usage errors on exit code 1 (2 means "judged unstable")
+    and no prefix matching: a flag is given by its full name or not at all."""
+
+    def __init__(self, **kwargs):  # the subparsers are built by this class too
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -399,8 +409,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="multiplier certificate reports")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--grid", help="lo:hi:step sweep of beta")
+    shift = p.add_mutually_exclusive_group()
+    shift.add_argument("--beta", type=float, default=1.0)
+    shift.add_argument("--grid", help="lo:hi:step sweep of beta")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="manufactured-solution convergence study")

@@ -71,6 +71,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.resolution is not None and self.resolution % 2:
             raise ValueError(f"resolution must be even, got {self.resolution}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.dt_sweep is not None:
             sweep = tuple(float(d) for d in self.dt_sweep)
             if not all(0 < d < math.inf for d in sweep):

@@ -295,7 +295,8 @@ def run(spec: ProblemSpec, k, beta, dt, T, observe=None, stride=1,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     nsteps = int(round(T / dt))
     if nsteps < k:
-        raise ValueError("T must cover at least k steps")
+        raise ValueError(f"T={T:g} with dt={dt:g} is {nsteps} step(s), "
+                         f"fewer than the order k={k}")
     summary = TrajectorySummary()
 
     def record(u, t):

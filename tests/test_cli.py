@@ -429,12 +429,28 @@ def _no_pool(fn, jobs):
      "resolution must be even, got 33"),
     (["allen-cahn", "--schemes", "[[5,1e78]]", "--resolution", "32", "--T", "10", "--dt", "5"],
      "--schemes entry k=5, beta=1e+78: order k=5 at shift beta=1e+78 has a weight "
-     "beyond the float range")])
+     "beyond the float range"),
+    # numpy's generators take no negative seed; every experiment refuses it
+    (["--seed", "-1", "cahn-hilliard", "--small", "--resolution", "16", "--T", "1e-5"],
+     "seed must be non-negative, got -1"),
+    (["--seed", "-1", "converge", "--k", "4", "--beta", "1,3", "--resolution", "8"],
+     "seed must be non-negative, got -1"),
+    # a number list that does not read names its flag
+    (["stability", "--k", "4", "--beta", "1", "--window=a,1,2,3"],
+     "--window needs re_lo,re_hi,im_lo,im_hi, got 'a,1,2,3'"),
+    (["stability", "--k", "4", "--beta", "1", "--res", "4,x"], "--res needs NX,NY, got '4,x'"),
+    (["verify", "--k", "4", "--grid", "1:2"], "--grid needs lo:hi:step, got '1:2'"),
+    (["converge", "--k", "4", "--beta", "1,x"],
+     "--beta needs a comma list of shifts, got '1,x'"),
+    (["converge", "--k", "4", "--beta", ""], "--beta needs a comma list of shifts, got ''"),
+    (["converge", "--k", "4", "--dts", "0.1,x,0.01,0.001"],
+     "--dts needs a comma list of steps, got '0.1,x,0.01,0.001'"),
+    (["converge", "--k", "4", "--dts", ""], "--dts needs a comma list of steps, got ''")])
 def test_a_refused_run_warns_of_nothing_and_forks_nothing(tmp_path, capsys, monkeypatch,
                                                           argv, err):
     # files that one entry would overwrite with another's, an odd grid, a
-    # record past the float range: refused before any k = 4 warning, worker
-    # or directory
+    # record past the float range, a negative seed, a list that does not read:
+    # refused before any k = 4 warning, worker or directory
     monkeypatch.setattr(cli, "_ordered_map", _no_pool)
     out = tmp_path / "new"
     with warnings.catch_warnings(record=True) as record:
@@ -574,9 +590,26 @@ def test_a_failing_middle_job_leaves_what_a_serial_run_leaves(tmp_path, capsys, 
         runs.append((code, capsys.readouterr(), _tree(tmp_path / str(cores))))
     assert runs[0] == runs[1]
     code, captured, files = runs[0]
-    assert code == 1 and captured.err == "error: T must cover at least k steps\n"
+    assert code == 1 and captured.err == ("error: T=15 with dt=5 is 3 step(s), "
+                                          "fewer than the order k=4\n")
     assert sorted(files) == ["field_k2_beta1.f64", "field_k2_beta1.json",
                              "radius_k2_beta1.csv"]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["allen-cahn", "--resolution", "32", "--T", "15", "--dt", "5",
+      "--schemes", "[[4,3],[2,1]]"], "T=15 with dt=5 is 3 step(s), fewer than the order k=4"),
+    (["converge", "--k", "4", "--beta", "3", "--T", "0.01", "--resolution", "8"],
+     "T=0.01 with dt=0.0125 is 1 step(s), fewer than the order k=4")])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_failing_first_job_makes_no_out_directory(tmp_path, capsys, monkeypatch, cores,
+                                                    argv, err):
+    # the directory is made with the first report, and there is none
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    out = tmp_path / "new"
+    code = cli.main(["--out", str(out)] + argv)
+    assert code == 1 and capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
 
 
 def test_a_dying_worker_ends_the_command_with_exit_1(tmp_path, capsys, monkeypatch):
@@ -675,6 +708,9 @@ def test_usage_errors_exit_1_not_the_unstable_code_2(tmp_path, capsys):
     # flags come from the command line only: there is no --config file
     for argv, named in ((["verify", "--k", "2", "--beta", "abc"], "--beta"),
                         (["stability", "--beta", "1"], "--k"),
+                        # one shift flag: --grid would drop the --beta it records
+                        (["verify", "--k", "4", "--beta", "3", "--grid", "2:2.2:0.1"],
+                         "argument --grid: not allowed with argument --beta"),
                         (["--config", "cfg.json", "coeffs", "--k", "2", "--beta", "1"],
                          "cfg.json"),
                         (["--config=cfg.json", "coeffs", "--k", "2", "--beta", "1"],
@@ -684,6 +720,30 @@ def test_usage_errors_exit_1_not_the_unstable_code_2(tmp_path, capsys):
         assert exc.value.code == cli.EXIT_ERROR == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ou", "OUT", "coeffs", "--k", "4", "--beta", "1"],
+    ["--out", "OUT", "--se", "7", "stability", "--k", "4", "--beta", "1", "--res", "8,8"],
+    ["--out", "OUT", "converge", "--k", "4", "--beta", "1", "--res", "8"],
+    ["--out", "OUT", "converge", "--k", "4", "--beta", "1",
+     "--dt", "0.05,0.025,0.0125,0.00625"],
+    ["--out", "OUT", "allen-cahn", "--sch", "[[4,1]]", "--sm"],
+    ["--out", "OUT", "verify", "--k", "4", "--gr", "1:2:0.5"]],
+    ids=["--ou", "--se", "--res", "--dt", "--sch", "--gr"])
+def test_a_flag_is_given_by_its_full_name_only(tmp_path, capsys, monkeypatch, argv):
+    # prefix matching would read each as a full name, `converge --res` as
+    # --resolution and `converge --dt` as --dts; each would warn of k = 4 at
+    # beta = 1, but a usage error comes before any warning, worker or directory
+    monkeypatch.setattr(cli, "_ordered_map", _no_pool)
+    out = tmp_path / "new"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(out) if a == "OUT" else a for a in argv])
+    assert exc.value.code == 1 and not record
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_error_exit_code(capsys):
