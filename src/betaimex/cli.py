@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: coeffs, stability, verify, converge, allen-cahn, cahn-hilliard.
-The three experiments share one path: `EXPERIMENTS` maps each subcommand to
-its runner and file layout, and `cmd_experiment` runs it and writes the CSVs,
-field snapshots, console lines, summary JSON and manifest for all three.
+The three experiments share one path: `cmd_experiment` runs the adapter its
+subparser carries and writes the CSVs, field snapshots, console lines,
+summary JSON and manifest for all three, each laid out as its report says.
 `verify`, `allen-cahn` and `converge` run their independent jobs (a block of
 `GRID_BLOCK` beta values, a scheme, a shift) on forked workers, one per
 usable core, so the CPU affinity (`taskset -c 0`) caps them; with one usable
@@ -33,9 +33,9 @@ from fractions import Fraction
 
 from . import __version__, certificates, coeffs, stability
 from . import integrate as itg
-from .experiments import (CH_SCHEMES, CONVERGENCE_DT_SWEEP, ExperimentConfig,
-                          run_allen_cahn_radius, run_cahn_hilliard,
-                          run_convergence)
+from .experiments import (CH_SCHEMES, CONVERGENCE_DT_SWEEP, DEFAULT_SEED,
+                          ExperimentConfig, run_allen_cahn_radius,
+                          run_cahn_hilliard, run_convergence)
 from .outputs import (write_csv, write_field_snapshot, write_json,
                       write_manifest, write_pgm)
 
@@ -230,11 +230,14 @@ def cmd_verify(args):
 
 
 def _parse_schemes(text):
-    """--schemes JSON -> (pairs as given, [(int k, float beta), ...]); (None, None) if absent."""
-    if not text:
+    """--schemes JSON -> (pairs as given, [(int k, float beta), ...]); (None, None) if absent.
+
+    An empty value is an empty list, which is refused like `[]`.
+    """
+    if text is None:
         return None, None
     try:
-        given = json.loads(text)
+        given = json.loads(text or "[]")
     except json.JSONDecodeError as exc:
         raise ValueError(f"--schemes is not valid JSON: {exc}") from exc
     if not isinstance(given, list) or not given:
@@ -331,30 +334,16 @@ def _cahn_hilliard(args):
             manifest)
 
 
-def _json_line(rep):
-    return json.dumps(rep.as_dict(), sort_keys=True)
-
-
-# subcommand -> (run, CSV stem, CSV header, console line); `run(args)` returns
-# (a context manager over the reports in order, summary file name, summary of
-# the as_dict() entries, manifest config)
-EXPERIMENTS = {
-    "converge": (_converge, "converge", ["dt", "l2_error"],
-                 lambda rep: f"k={rep.k} beta={rep.beta:g}: slope={rep.slope:.3f}"),
-    "allen-cahn": (_allen_cahn, "radius", ["t", "radius", "radius_theory"], _json_line),
-    "cahn-hilliard": (_cahn_hilliard, "energy", ["t", "energy", "ref_distance"], _json_line),
-}
-
-
 def cmd_experiment(args):
-    """Run one experiment and write its outputs.
+    """Run `args.run`, the subparser's adapter, and write its outputs.
 
-    Per scheme: the CSV, the field snapshot if the report has one, and the
-    console line.  Then the summary JSON and the manifest.  Exit code 2 if
-    any scheme diverged.
+    The adapter returns a context manager over the reports in order, the
+    summary file name, the summary of the as_dict() entries and the manifest
+    config.  Per scheme: the CSV that the report's `csv` lays out, the field
+    snapshot if the report has one, and its `line()`.  Then the summary JSON
+    and the manifest.  Exit code 2 if any scheme diverged.
     """
-    run, stem, header, line = EXPERIMENTS[args.command]
-    results, summary_name, summary, manifest = run(args)
+    results, summary_name, summary, manifest = args.run(args)
     entries, diverged = [], False
     with results as reports:
         for rep in reports:
@@ -362,13 +351,14 @@ def cmd_experiment(args):
             # first job makes no directory
             outdir = _ensure_outdir(args)
             tag = _tag(rep.k, rep.beta)
+            stem, header = rep.csv
             write_csv(os.path.join(outdir, f"{stem}_{tag}.csv"), header, rep.rows())
             if rep.final_values is not None:
                 write_field_snapshot(os.path.join(outdir, f"field_{tag}"), rep.grid,
                                      rep.final_values, rep.final_time)
             entries.append(rep.as_dict())
             diverged |= rep.diverged
-            print(line(rep))
+            print(rep.line())
     write_json(os.path.join(outdir, summary_name), summary(entries))
     write_manifest(outdir, args.command, manifest, args.seed)
     return EXIT_UNSTABLE if diverged else EXIT_OK
@@ -390,7 +380,7 @@ def build_parser():
     parser = _Parser(prog="betaimex", description="shifted BDF/IMEX scheme toolbox")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--out", help="output directory", default=None)
-    parser.add_argument("--seed", type=int, default=1234)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="print the coefficient record of one scheme")
@@ -420,7 +410,7 @@ def build_parser():
     p.add_argument("--dts", help="comma list of decreasing steps")
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--T", type=float, default=None)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, run=_converge)
 
     p = sub.add_parser("allen-cahn", help="shrinking-circle radius benchmark")
     p.add_argument("--small", action="store_true", help="desk preset: 256^2, T=500")
@@ -428,7 +418,7 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--schemes", help='JSON list, e.g. "[[1,1],[4,3]]"')
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, run=_allen_cahn)
 
     p = sub.add_parser("cahn-hilliard", help="conserved-flow stability comparison")
     p.add_argument("--small", action="store_true",
@@ -439,7 +429,7 @@ def build_parser():
     p.add_argument("--schemes", help='JSON list of [k, beta] pairs')
     p.add_argument("--no-reference", action="store_true",
                    help="skip the fine-step reference trajectory")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, run=_cahn_hilliard)
     return parser
 
 

@@ -5,7 +5,9 @@ randomness is the seeded perturbation of the conserved-flow start).  Every
 scheme run yields one report with the same small protocol, which the single
 writer in `cli` serialises byte-identically:
 
+    csv           (file stem, column header) of the scheme's CSV
     rows()        CSV rows of the scheme's time series
+    line()        the scheme's console line
     as_dict()     the scheme's entry in the summary JSON
     final_values  last physical field for the snapshot (None: no snapshot)
     diverged      whether the scheme blew up
@@ -15,8 +17,9 @@ the `grid` and `final_time` that place it.
 
 Every run goes through `_field_run`, which hands each observer the physical
 field of the observed level (one inverse FFT, shared by all it measures) and
-returns the fields every report holds.  Each driver builds its `ProblemSpec`
-once; the Cahn-Hilliard reference and schemes share one.
+fills the `SchemeRun` record that each phase-field report extends by its two
+series.  Each driver builds its `ProblemSpec` once; the Cahn-Hilliard
+reference and schemes share one.
 
 Desk-scale presets (``small=True``) shrink the grids so the full suite runs
 in minutes; full-scale defaults are kept for offline reproduction runs.
@@ -24,6 +27,7 @@ in minutes; full-scale defaults are kept for offline reproduction runs.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -84,13 +88,29 @@ class ExperimentConfig:
             self.dt_sweep = sweep
 
 
+@dataclass
+class SchemeRun:
+    """One phase-field run of a scheme; `final_values` is the physical field of
+    its last finite level (None if the start blew up) at `final_time`."""
+
+    k: int
+    beta: float
+    times: tuple
+    diverged: bool
+    blowup_step: Optional[int]
+    grid: sp.Grid2D
+    final_values: Optional[np.ndarray]
+    final_time: Optional[float]
+
+    def line(self):
+        return json.dumps(self.as_dict(), sort_keys=True)
+
+
 def _field_run(spec, grid, k, beta, dt, T, observe=None, stride=1, starter=None):
     """`integrate.run` on a half-spectrum problem, seen in physical space.
 
     `observe(u, t)` gets the physical field u of each observed level.
-    Returns the `TrajectorySummary` and a dict of the fields every report
-    holds: times, diverged, blowup_step, grid, final_values (the physical
-    field of the last finite level, None if the start blew up), final_time.
+    Returns the `TrajectorySummary` and the run's `SchemeRun` fields as a dict.
     """
     def physical(u_hat):
         return np.fft.irfft2(u_hat, s=grid.shape)
@@ -99,9 +119,9 @@ def _field_run(spec, grid, k, beta, dt, T, observe=None, stride=1, starter=None)
                       observe=None if observe is None
                       else lambda u_hat, t: observe(physical(u_hat), t))
     final = None if summary.final_state is None else physical(summary.final_state)
-    return summary, dict(times=tuple(summary.times), diverged=summary.diverged,
-                         blowup_step=summary.blowup_step, grid=grid,
-                         final_values=final, final_time=summary.final_time)
+    return summary, dict(k=k, beta=beta, times=tuple(summary.times),
+                         diverged=summary.diverged, blowup_step=summary.blowup_step,
+                         grid=grid, final_values=final, final_time=summary.final_time)
 
 
 @dataclass
@@ -111,12 +131,16 @@ class ConvergenceReport:
     dts: tuple
     errors: tuple
     slope: float
+    csv = ("converge", ("dt", "l2_error"))
     # a diverged step size shows as an infinite error; the study still completes
     diverged = False
     final_values = None
 
     def rows(self):
         return list(zip(self.dts, self.errors))
+
+    def line(self):
+        return f"k={self.k} beta={self.beta:g}: slope={self.slope:.3f}"
 
     def as_dict(self):
         return {"k": self.k, "beta": self.beta, "dts": list(self.dts),
@@ -140,14 +164,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
                            u0=exact_state(0.0))
     exact = sp.manufactured_solution(grid, T)
     errors = []
-    for dt in dts:
-        _, fields = _field_run(spec, grid, config.k, config.beta, dt, T,
-                               starter=exact_state)
-        if fields["diverged"]:
-            errors.append(float("inf"))
-            continue
-        diff = fields["final_values"] - exact
-        errors.append(math.sqrt(float((diff ** 2).sum()) * grid.cell_area))
+    itg._resolve_coefficients(config.k, config.beta)  # checks and warns once per study
+    with coeffs._admissibility_warnings_off():
+        for dt in dts:
+            _, fields = _field_run(spec, grid, config.k, config.beta, dt, T,
+                                   starter=exact_state)
+            if fields["diverged"]:
+                errors.append(float("inf"))
+                continue
+            diff = fields["final_values"] - exact
+            errors.append(math.sqrt(float((diff ** 2).sum()) * grid.cell_area))
     finite = [(d, e) for d, e in zip(dts, errors) if math.isfinite(e)]
     if len(finite) >= 2:
         slope = float(np.polyfit(np.log([d for d, _ in finite]),
@@ -175,17 +201,10 @@ def theory_radius(t: float) -> float:
 
 
 @dataclass
-class RadiusReport:
-    k: int
-    beta: float
-    times: tuple
+class RadiusReport(SchemeRun):
     radius: tuple
     radius_theory: tuple
-    diverged: bool = False
-    blowup_step: Optional[int] = None
-    grid: Optional[sp.Grid2D] = None
-    final_values: Optional[np.ndarray] = None
-    final_time: Optional[float] = None
+    csv = ("radius", ("t", "radius", "radius_theory"))
 
     @property
     def max_relative_deviation(self) -> float:
@@ -216,9 +235,8 @@ def run_allen_cahn_radius(config: ExperimentConfig) -> RadiusReport:
     stride = max(1, int(round(T / dt)) // 100)
     summary, fields = _field_run(spec, grid, config.k, config.beta, dt, T,
                                  observe=radius_obs, stride=stride)
-    return RadiusReport(k=config.k, beta=config.beta, radius=tuple(summary.values),
-                        radius_theory=tuple(theory_radius(t) for t in summary.times),
-                        **fields)
+    return RadiusReport(radius=tuple(summary.values),
+                        radius_theory=tuple(theory_radius(t) for t in summary.times), **fields)
 
 
 def ch_preset(small: bool) -> dict:
@@ -231,17 +249,10 @@ def ch_initial_state(n: int, seed: int) -> np.ndarray:
 
 
 @dataclass
-class SchemeVerdict:
-    k: int
-    beta: float
-    times: tuple
+class SchemeVerdict(SchemeRun):
     energy: tuple
     ref_distance: tuple
-    diverged: bool = False
-    blowup_step: Optional[int] = None
-    grid: Optional[sp.Grid2D] = None
-    final_values: Optional[np.ndarray] = None
-    final_time: Optional[float] = None
+    csv = ("energy", ("t", "energy", "ref_distance"))
 
     @property
     def stable(self) -> bool:
@@ -326,7 +337,7 @@ def run_cahn_hilliard(config: ExperimentConfig,
     for k, beta in schemes:
         summary, fields = _field_run(spec, grid, k, beta, dt, preset["T"],
                                      observe=observe, stride=stride)
-        report.verdicts.append(SchemeVerdict(
-            k=k, beta=beta, energy=tuple(e for e, _ in summary.values),
-            ref_distance=tuple(d for _, d in summary.values), **fields))
+        report.verdicts.append(SchemeVerdict(energy=tuple(e for e, _ in summary.values),
+                                             ref_distance=tuple(d for _, d in summary.values),
+                                             **fields))
     return report

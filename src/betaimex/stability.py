@@ -15,10 +15,11 @@ chunk holds its coefficients column-major, one row per power of w and one
 contiguous column per point, so each step of the reduction works on whole
 rows.  The pass at radius 1 - `_BAND` proves most stable points; the pass at
 1 + `_BAND` then runs only on the points it left open, and those with a root
-within `_BAND` of the unit circle go to `is_stable`.  That decides the root
-condition exactly, by Miller's closed-disk rule, on pi of the exact scheme at
-the exact (dyadic) value of z: a simple root on the circle, such as w = 1 at
-z = 0, passes, and a double one fails, with no tolerance.
+within `_BAND` of the unit circle go to the exact test of `is_stable`, on
+one integer record per scan.  That decides the root condition exactly, by
+Miller's closed-disk rule, on pi of the exact scheme at the exact (dyadic)
+value of z: a simple root on the circle, such as w = 1 at z = 0, passes, and
+a double one fails, with no tolerance.
 
 The weights a and b are real, so pi at conj(z) has the conjugate
 coefficients of pi at z and the same root moduli: the region is symmetric
@@ -53,14 +54,20 @@ _BAND = 1e-6  # the float Schur-Cohn verdicts hold outside it
 
 
 def is_stable(k, beta, z):
-    """Root condition at one point z, decided exactly.
-
-    pi is taken on the scheme's exact weights at the exact (dyadic) value of
-    z, scaled to Gaussian-integer coefficients.
-    """
+    """Root condition at one point z, decided exactly by `_root_condition`."""
     coeffs._check_order(k)
     coeffs._admissibility_warning(k, coeffs._check_beta(beta))
-    (a, la), (b, lb), _, _ = coeffs._integer_record(k, Fraction(beta))
+    return _root_condition(coeffs._integer_record(k, Fraction(beta)), z)
+
+
+def _root_condition(record, z):
+    """The root condition at z of the scheme whose `coeffs._integer_record` is `record`.
+
+    pi is taken on the scheme's exact weights at the exact (dyadic) value of
+    z, scaled to Gaussian-integer coefficients.  Neither the order nor the
+    shift is checked, and no warning is emitted.
+    """
+    (a, la), (b, lb), _, _ = record
     (zr, dr), (zi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     # la lb dr di pi(w): a[q] lb dr di - (zr di + i zi dr) b[q-1] la
     return _roots_inside_unit_disk([(x * lb * dr * di - zr * di * y * la, -zi * dr * y * la)
@@ -142,6 +149,7 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
     powers = np.arange(k + 1)[:, None]
     inner, outer = (1.0 - _BAND) ** powers, (1.0 + _BAND) ** powers
     mask = np.zeros(z.size, dtype=bool)
+    record = None  # the exact weights, built when a first cell reaches the exact test
     work = np.empty((3, k + 1, min(_CHUNK, z.size)), dtype=complex)
     for start in range(0, z.size, _CHUNK):
         zc = z[start:start + _CHUNK]
@@ -153,7 +161,9 @@ def scan_region(k, beta, window=DEFAULT_WINDOW, resolution=DEFAULT_RESOLUTION):
         rest = np.nonzero(~stable)[0]
         p, spare = p[:, :rest.size], spare[:, :rest.size]
         for i in rest[_schur_inside(np.multiply(coef[:, rest], outer, out=p), spare)]:
-            stable[i] = is_stable(k, beta, zc[i])
+            if record is None:
+                record = coeffs._integer_record(k, Fraction(beta))
+            stable[i] = _root_condition(record, zc[i])
         mask[start:start + _CHUNK] = stable
 
     mask = mask.reshape(nx, half)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import math
 import multiprocessing
@@ -445,7 +447,12 @@ def _no_pool(fn, jobs):
     (["converge", "--k", "4", "--beta", ""], "--beta needs a comma list of shifts, got ''"),
     (["converge", "--k", "4", "--dts", "0.1,x,0.01,0.001"],
      "--dts needs a comma list of steps, got '0.1,x,0.01,0.001'"),
-    (["converge", "--k", "4", "--dts", ""], "--dts needs a comma list of steps, got ''")])
+    (["converge", "--k", "4", "--dts", ""], "--dts needs a comma list of steps, got ''"),
+    # an empty list is refused, not read as the default schemes
+    (["allen-cahn", "--resolution", "16", "--T", "6", "--schemes", ""],
+     "--schemes needs a non-empty JSON list of [k, beta] pairs"),
+    (["cahn-hilliard", "--small", "--resolution", "16", "--T", "1e-5", "--schemes", ""],
+     "--schemes needs a non-empty JSON list of [k, beta] pairs")])
 def test_a_refused_run_warns_of_nothing_and_forks_nothing(tmp_path, capsys, monkeypatch,
                                                           argv, err):
     # files that one entry would overwrite with another's, an odd grid, a
@@ -459,6 +466,31 @@ def test_a_refused_run_warns_of_nothing_and_forks_nothing(tmp_path, capsys, monk
     assert code == 1 and not record
     assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
+
+
+def test_the_experiment_writer_lays_out_each_report_as_the_report_says(tmp_path, capsys):
+    # the writer names no experiment: stem, header and console line are the report's
+    class Report:
+        k, beta, diverged, final_values = 3, 2.5, False, None
+        csv = ("made_up", ("x", "y"))
+
+        def rows(self):
+            return [(1, 2.0)]
+
+        def line(self):
+            return "a line of its own"
+
+        def as_dict(self):
+            return {"k": self.k}
+
+    def run(args):
+        return contextlib.nullcontext([Report()]), "summary.json", list, {}
+
+    args = argparse.Namespace(command="converge", out=str(tmp_path), seed=0, run=run)
+    assert cli.cmd_experiment(args) == 0
+    assert capsys.readouterr().out == "a line of its own\n"
+    assert (tmp_path / "made_up_k3_beta2.5.csv").read_text() == "x,y\n1,2.0\n"
+    assert json.loads((tmp_path / "summary.json").read_text()) == [{"k": 3}]
 
 
 def test_a_short_dt_sweep_is_refused_before_any_run(tmp_path, capsys, monkeypatch):

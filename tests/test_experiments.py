@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import warnings
 
@@ -5,9 +7,10 @@ import numpy as np
 import pytest
 
 from betaimex import spectral as sp
-from betaimex.experiments import (CH_DESK, CH_FULL, ExperimentConfig,
-                                  ch_initial_state, ch_preset, run_allen_cahn_radius,
-                                  run_cahn_hilliard, run_convergence, theory_radius)
+from betaimex.experiments import (CH_DESK, CH_FULL, ExperimentConfig, RadiusReport,
+                                  SchemeRun, SchemeVerdict, ch_initial_state, ch_preset,
+                                  run_allen_cahn_radius, run_cahn_hilliard,
+                                  run_convergence, theory_radius)
 import oracles
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -45,6 +48,50 @@ def test_convergence_needs_four_points():
         ExperimentConfig(name="converge", k=2, beta=1.0, dt_sweep=(0.1, 0.05, 0.025))
     rep = run_convergence(cfg)
     assert len(rep.errors) == 4 and abs(rep.slope - 2.0) < 0.35
+
+
+def test_a_convergence_study_warns_once_for_all_its_step_sizes():
+    config = ExperimentConfig(name="x", k=4, beta=1.0, resolution=8,
+                              dt_sweep=(0.1, 0.05, 0.025, 0.0125))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rep = run_convergence(config)
+    assert [(str(w.message), w.filename) for w in record] == \
+        [("k=4 with beta=1: multiplier certificate requires beta >= 2", __file__)]
+    assert len(rep.errors) == 4
+
+
+# each driver at a tiny size, as a list of its reports
+TINY_RUNS = {
+    "converge": lambda: [run_convergence(ExperimentConfig(
+        name="converge", k=2, beta=1.0, resolution=8, dt_sweep=(0.1, 0.05, 0.025, 0.0125)))],
+    "allen-cahn": lambda: [run_allen_cahn_radius(ExperimentConfig(
+        name="allen-cahn", k=2, beta=3.0, resolution=16, T=6.0, dt=1.0))],
+    "cahn-hilliard": lambda: run_cahn_hilliard(ExperimentConfig(
+        name="cahn-hilliard", small=True, resolution=16, T=1e-4,
+        schemes=((2, 1.0), (3, 3.0)))).verdicts,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_RUNS))
+def test_each_report_lays_out_its_own_csv_and_console_line(name):
+    for rep in TINY_RUNS[name]():
+        stem, header = rep.csv
+        assert stem and rep.rows()
+        assert all(len(row) == len(header) for row in rep.rows())
+        line = rep.line()
+        assert line and "\n" not in line
+        if isinstance(rep, SchemeRun):  # a phase-field run prints its summary entry
+            assert json.loads(line) == rep.as_dict()
+
+
+def test_the_phase_field_reports_share_one_run_record():
+    record = [f.name for f in dataclasses.fields(SchemeRun)]
+    assert record == ["k", "beta", "times", "diverged", "blowup_step", "grid",
+                      "final_values", "final_time"]
+    for report, series in ((RadiusReport, ["radius", "radius_theory"]),
+                           (SchemeVerdict, ["energy", "ref_distance"])):
+        assert [f.name for f in dataclasses.fields(report)] == record + series
 
 
 def test_theory_radius_value():

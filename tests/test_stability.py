@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,17 +209,55 @@ def test_a_widened_band_moves_no_mask_bit(monkeypatch, k, beta):
     # test instead of the float passes; no verdict may change
     want = scan_region(k, beta, resolution=(200, 200)).mask
     exact = []
+    root_condition = stability._root_condition
 
     def spy(*args):
         exact.append(args)
-        return is_stable(*args)
+        return root_condition(*args)
 
-    monkeypatch.setattr(stability, "is_stable", spy)
+    monkeypatch.setattr(stability, "_root_condition", spy)
     monkeypatch.setattr(stability, "_BAND", 1e-2)
     got = scan_region(k, beta, resolution=(200, 200)).mask
     assert exact
     assert np.array_equal(got, want)
     assert np.array_equal(got, eig_scan_mask(k, beta, DEFAULT_WINDOW, (200, 200)))
+
+
+def _spy_records(monkeypatch):
+    # the integer records built, and the records the exact tests were given
+    built, tested = [], []
+    integer_record, root_condition = coeffs._integer_record, stability._root_condition
+
+    def build(k, beta):
+        built.append(integer_record(k, beta))
+        return built[-1]
+
+    def exact(record, z):
+        tested.append(record)
+        return root_condition(record, z)
+
+    monkeypatch.setattr(coeffs, "_integer_record", build)
+    monkeypatch.setattr(stability, "_root_condition", exact)
+    return built, tested
+
+
+def test_a_scan_warns_once_however_many_cells_reach_the_exact_test(monkeypatch):
+    # 20 cells of this window reach the exact test, and none of them warns
+    built, tested = _spy_records(monkeypatch)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        grid = scan_region(4, 1.0, window=(-1, 1, -1, 1), resolution=(301, 301))
+    assert [(str(w.message), w.filename) for w in record] == \
+        [("k=4 with beta=1: multiplier certificate requires beta >= 2", __file__)]
+    # one record for the float weights, one for every exact test
+    assert len(built) == 2 and len(tested) == 20 and all(r is built[1] for r in tested)
+    assert int(grid.mask.sum()) == 43_903
+
+
+def test_a_scan_with_no_cell_at_the_exact_test_builds_only_the_float_record(monkeypatch):
+    built, tested = _spy_records(monkeypatch)
+    scan_region(4, 3.0, resolution=(200, 200))
+    assert len(built) == 1 and not tested
 
 
 @pytest.mark.parametrize("k,beta", [(k, beta) for k in (2, 3, 4, 5) for beta in (1.0, 3.0)])
